@@ -198,27 +198,28 @@ def test_grid_replay_speedup_and_identity(benchmark):
     Figure 8 axis for all five codes — and asserts (a) batched rows are
     identical to per-point rows everywhere, including the all-policy /
     stack-distance identity sweep, (b) the single-core speedup is >= 3x,
-    and (c) it has not regressed more than 10% against the committed
-    baseline (speedups are same-machine timing ratios, so the comparison
-    is machine-independent).
+    and (c) the payload passes the shared bench gate against the
+    committed baseline (speedups are same-machine timing ratios, so the
+    comparison is machine-independent).
     """
     import json
     from pathlib import Path
 
-    from repro.bench.replay_bench import compare_to_baseline, run_replay_bench
+    from repro.bench.gate import compare
+    from repro.bench.replay_bench import run_replay_bench
 
     payload = benchmark.pedantic(
         run_replay_bench, kwargs={"rounds": 1}, rounds=1, iterations=1
     )
-    assert all(g["rows_identical"] for g in payload["groups"])
-    assert payload["identity"]["rows_identical"]
-    assert payload["identity"]["lru_fast_path_identical"]
-    speedup = payload["aggregate"]["speedup"]
+    assert payload["checks"]["batched_rows_identical"]
+    assert payload["checks"]["identity_rows_identical"]
+    assert payload["checks"]["lru_fast_path_identical"]
+    speedup = payload["ratios"]["speedup"]
     assert speedup >= 3.0, f"grid replay speedup {speedup:.2f}x < 3x"
 
     baseline_path = Path(__file__).parent / "BENCH_replay.json"
     baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    ok, message = compare_to_baseline(payload, baseline)
+    ok, message = compare(payload, baseline)
     assert ok, message
 
 

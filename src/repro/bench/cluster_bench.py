@@ -15,26 +15,22 @@ machine-independent and CI compares rows **bit-exactly**:
 * the nic-counter detector must flag exactly the limplocked node;
 * every row must equal the committed baseline's row.
 
-Run directly: ``python -m repro.bench.cluster_bench --out BENCH_cluster.json``
-or ``--check benchmarks/BENCH_cluster.json`` for the CI gate.
+Run: ``repro-fbf gate cluster --out BENCH_cluster.json`` or
+``repro-fbf gate cluster --check benchmarks/BENCH_cluster.json`` (CI).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, replace
-from pathlib import Path
-from typing import Sequence
 
 from ..codes import make_code
-from ..obs import emit
 from ..sim import SimConfig, TopologySpec, run_reconstruction
 from ..sim.cluster import ClusterSpec, run_cluster_recovery
 from ..workloads import ErrorTraceConfig, generate_errors
-from .engine import _git_rev
 from .experiments import QUICK
+from .gate import make_payload
 
-__all__ = ["run_cluster_bench", "compare_to_baseline"]
+__all__ = ["run_cluster_bench"]
 
 #: The scenario axis: (redundancy, policy) per cluster state.
 SCENARIOS = (("ec", "fbf"), ("ec", "lru"), ("ec", "arc"), ("rep", "rep"))
@@ -55,11 +51,10 @@ def _degenerate_identical(n_errors: int, seed: int) -> bool:
             == topo.simulated_dict(exclude=("cluster",)))
 
 
-def run_cluster_bench(n_errors: int | None = None, seed: int | None = None) -> dict:
+def run_cluster_bench(n_errors: int = QUICK.n_errors) -> dict:
     """Run the scenario grid + invariant checks; return the payload."""
-    n_errors = QUICK.n_errors if n_errors is None else n_errors
-    seed = QUICK.seed if seed is None else seed
-    rows = []
+    seed = QUICK.seed
+    rows = {}
     for limplock in (False, True):
         for redundancy, policy in SCENARIOS:
             spec = ClusterSpec(
@@ -74,10 +69,10 @@ def run_cluster_bench(n_errors: int | None = None, seed: int | None = None) -> d
             row = asdict(report)
             row["cross_rack_mb"] = report.cross_rack_mb
             row["limplock_suspects"] = list(report.limplock_suspects)
-            rows.append(row)
+            rows[_row_key(row)] = row
 
     def _rows(redundancy, limplock):
-        return [r for r in rows
+        return [r for r in rows.values()
                 if r["redundancy"] == redundancy and r["limplock"] == limplock]
 
     ec_cross = min(r["cross_rack_bytes"] for r in _rows("ec", False))
@@ -89,118 +84,28 @@ def run_cluster_bench(n_errors: int | None = None, seed: int | None = None) -> d
         "ec_exceeds_rep_cross_rack": ec_cross > rep_cross,
         "bottleneck_is_network": all(
             "nic" in r["bottleneck"] or "uplink" in r["bottleneck"]
-            for r in rows
+            for r in rows.values()
         ),
         "limplock_detected": all(
             r["limplock_suspects"] == [1] if r["limplock"]
             else r["limplock_suspects"] == []
-            for r in rows
+            for r in rows.values()
         ),
     }
-    return {
-        "schema": 1,
-        "kind": "cluster-recovery",
-        "git_rev": _git_rev(),
-        "scale": "quick",
-        "n_errors": n_errors,
-        "seed": seed,
-        "rows": rows,
-        "checks": checks,
-        "aggregate": {
+    return make_payload(
+        "cluster",
+        params={"scale": "quick", "n_errors": n_errors, "seed": seed},
+        rows=rows,
+        checks=checks,
+        detail={
             "ec_min_cross_rack_bytes": ec_cross,
             "rep_max_cross_rack_bytes": rep_cross,
             "traffic_ratio": ec_cross / rep_cross if rep_cross else None,
         },
-    }
-
-
-def compare_to_baseline(current: dict, baseline: dict) -> tuple[bool, str]:
-    """CI gate: all invariants hold and every row matches bit-exactly.
-
-    The payload carries only virtual-time quantities, so unlike the
-    replay bench there is no tolerance: any row drift is a determinism
-    or behaviour regression.
-    """
-    problems = [
-        f"invariant {name} does not hold"
-        for name, ok in current["checks"].items() if not ok
-    ]
-    base_rows = {
-        (r["redundancy"], r["policy"], r["limplock"]): r
-        for r in baseline["rows"]
-    }
-    for row in current["rows"]:
-        key = (row["redundancy"], row["policy"], row["limplock"])
-        expected = base_rows.pop(key, None)
-        if expected is None:
-            problems.append(f"row {key} missing from the baseline")
-            continue
-        diff = [
-            field for field in expected
-            if field in row and row[field] != expected[field]
-        ]
-        if diff:
-            problems.append(f"row {key} diverged on {', '.join(diff)}")
-    for key in base_rows:
-        problems.append(f"baseline row {key} missing from the current run")
-    if problems:
-        return False, "; ".join(problems)
-    ratio = current["aggregate"]["traffic_ratio"]
-    return True, (
-        f"{len(current['rows'])} rows bit-identical; EC moves "
-        f"{ratio:.2f}x replication's cross-rack bytes"
     )
 
 
-def _format_summary(payload: dict) -> str:
-    lines = [
-        f"{'state':>8} {'mode':>5} {'policy':>7} {'hit':>8} "
-        f"{'xrack(MB)':>10} {'recover(s)':>11} {'p99(s)':>8} {'bottleneck':>13}"
-    ]
-    for r in payload["rows"]:
-        state = "limplock" if r["limplock"] else "healthy"
-        lines.append(
-            f"{state:>8} {r['redundancy']:>5} {r['policy']:>7} "
-            f"{r['hit_ratio']:>8.4f} {r['cross_rack_mb']:>10.1f} "
-            f"{r['recovery_time']:>11.3f} {r['p99_response_time']:>8.4f} "
-            f"{r['bottleneck']:>13}"
-        )
-    for name, ok in payload["checks"].items():
-        lines.append(f"check {name}: {'ok' if ok else 'FAILED'}")
-    return "\n".join(lines)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro-cluster-bench", description=__doc__.splitlines()[0]
-    )
-    parser.add_argument("--out", help="write the BENCH_cluster.json payload here")
-    parser.add_argument(
-        "--check",
-        metavar="BASELINE",
-        help="compare against a committed BENCH_cluster.json; exit 1 on "
-        "any invariant failure or row drift",
-    )
-    parser.add_argument("--errors", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
-
-    payload = run_cluster_bench(n_errors=args.errors, seed=args.seed)
-    emit(_format_summary(payload))
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        emit(f"wrote {out}")
-    if args.check:
-        baseline = json.loads(Path(args.check).read_text(encoding="utf-8"))
-        ok, message = compare_to_baseline(payload, baseline)
-        emit(("PASS: " if ok else "FAIL: ") + message)
-        return 0 if ok else 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+def _row_key(row: dict) -> str:
+    """``redundancy/policy/limplock``, e.g. ``ec/fbf/healthy``."""
+    state = "limplock" if row["limplock"] else "healthy"
+    return f"{row['redundancy']}/{row['policy']}/{state}"

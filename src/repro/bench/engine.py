@@ -47,6 +47,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from ..obs import runtime as _obs
+from .gate import _git_rev
 
 __all__ = [
     "ENGINE_CACHE_VERSION",
@@ -844,24 +845,6 @@ def run_grid(
 
 
 # -- BENCH report -------------------------------------------------------------
-
-def _git_rev() -> str | None:
-    """Current commit hash, or None outside a git checkout."""
-    import subprocess
-
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else None
-
 
 def bench_payload(
     experiment: str,

@@ -17,32 +17,30 @@ end to end — fig10 (response time, online arrivals), fig11
 asserts they are **bit-identical** across pooling on/off, sanitize
 on/off, and obs on/off.  All row quantities are virtual time or traffic,
 so the committed ``benchmarks/BENCH_kernel.json`` baseline is
-machine-independent and CI compares rows bit-exactly; the speedup axis
-gates like the replay bench (≥ the floor, and no >10% regression against
-the baseline).
+machine-independent and CI compares rows bit-exactly; the speedup ratio
+carries a :data:`SPEEDUP_FLOOR` that the committed baseline must
+demonstrate, and a fresh run is held to the shared ratio tolerance
+(:mod:`repro.bench.gate`).
 
-Run directly: ``python -m repro.bench.kernel_bench --out BENCH_kernel.json``
-or ``--check benchmarks/BENCH_kernel.json`` for the CI gate.
+Run: ``repro-fbf gate kernel --out BENCH_kernel.json`` or
+``repro-fbf gate kernel --check benchmarks/BENCH_kernel.json`` (CI).
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, replace
 from heapq import heappop, heappush
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..codes import make_code
-from ..obs import emit
 from ..obs import runtime as _obs
 from ..sim import SimConfig, TopologySpec, run_reconstruction
 from ..sim.kernel import Container, Environment, Event, Resource, Store
 from ..workloads import ErrorTraceConfig, generate_errors
-from .engine import _git_rev
+from .gate import best_of, make_payload
 
-__all__ = ["ReferenceEnvironment", "run_kernel_bench", "compare_to_baseline"]
+__all__ = ["ReferenceEnvironment", "run_kernel_bench"]
 
 #: Minimum acceptable event-throughput speedup over the reference kernel
 #: (the tentpole's acceptance floor).
@@ -223,12 +221,9 @@ def _paired_best_of(build, rounds: int) -> tuple[float, float]:
     gc.disable()
     try:
         for _ in range(rounds):
-            t0 = time.perf_counter()
-            _drive(ReferenceEnvironment, build)
-            ref_s = min(ref_s, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            _drive(Environment, build)
-            opt_s = min(opt_s, time.perf_counter() - t0)
+            ref_s = min(ref_s, best_of(
+                lambda: _drive(ReferenceEnvironment, build), 1))
+            opt_s = min(opt_s, best_of(lambda: _drive(Environment, build), 1))
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -284,7 +279,7 @@ def _row(report) -> dict:
     return json.loads(json.dumps(row))
 
 
-def _row_configs(n_errors: int) -> dict[str, SimConfig]:
+def _row_configs() -> dict[str, SimConfig]:
     return {
         # fig10: per-chunk response time with online arrivals — exercises
         # the _worker arrival-skip path.
@@ -321,7 +316,7 @@ def _identity_rows(n_errors: int, seed: int) -> tuple[dict, dict]:
         "rows_sanitize_invariant": True,
         "rows_obs_invariant": True,
     }
-    for name, config in _row_configs(n_errors).items():
+    for name, config in _row_configs().items():
         base = _row(run_reconstruction(layout, errors, config))
         rows[name] = base
         unpooled = _row(
@@ -343,173 +338,19 @@ def _identity_rows(n_errors: int, seed: int) -> tuple[dict, dict]:
     return rows, checks
 
 
-def run_kernel_bench(
-    rounds: int = 3, n_errors: int | None = None, seed: int | None = None
-) -> dict:
-    """Measure throughput + row identity; return the payload."""
+def run_kernel_bench(rounds: int = 3, n_errors: int = 12) -> dict:
+    """Measure throughput + row identity; return the schema-2 payload."""
     from .experiments import QUICK
 
-    n_errors = 12 if n_errors is None else n_errors
-    seed = QUICK.seed if seed is None else seed
     throughput = _measure_throughput(rounds)
-    rows, checks = _identity_rows(n_errors, seed)
-    checks["event_counts_match"] = throughput["event_counts_match"]
-    checks["speedup_at_least_floor"] = throughput["speedup"] >= SPEEDUP_FLOOR
-    return {
-        "schema": 1,
-        "kind": "kernel",
-        "git_rev": _git_rev(),
-        "rounds": rounds,
-        "n_errors": n_errors,
-        "seed": seed,
-        "speedup_floor": SPEEDUP_FLOOR,
-        "throughput": throughput,
-        "rows": rows,
-        "checks": checks,
-        "aggregate": {
-            "speedup": throughput["speedup"],
-            "events_per_s": throughput["events_per_s"],
-        },
-    }
-
-
-def compare_to_baseline(
-    current: dict, baseline: dict, tolerance: float = 0.10
-) -> tuple[bool, str]:
-    """CI gate: invariants hold, rows bit-exact, speedup not regressed.
-
-    The timed rows carry only virtual-time quantities, so like the
-    cluster gate there is no row tolerance: any drift is a determinism
-    or behaviour regression.  The speedup axis is a wall-clock *ratio*
-    (optimized vs reference on the same machine), so it transfers across
-    machines — but a shared CI runner still jitters it by a few percent.
-    The absolute :data:`SPEEDUP_FLOOR` is therefore enforced on the
-    *committed baseline* (``--out`` refuses to demonstrate less), while
-    the fresh run is held to ``tolerance`` of that baseline: the >10%
-    band is what absorbs runner noise, so re-imposing the raw floor on
-    every re-measurement would just double-count it.
-    """
-    problems = [
-        f"invariant {name} does not hold"
-        for name, ok in current["checks"].items()
-        # speedup_at_least_floor is the baseline's property (see above);
-        # every determinism/identity invariant must hold in the fresh run.
-        if not ok and name != "speedup_at_least_floor"
-    ]
-    if not baseline["checks"].get("speedup_at_least_floor", False):
-        problems.append(
-            "baseline does not demonstrate the "
-            f"{baseline.get('speedup_floor', SPEEDUP_FLOOR)}x speedup floor"
-        )
-    base_rows = dict(baseline["rows"])
-    for name, row in current["rows"].items():
-        expected = base_rows.pop(name, None)
-        if expected is None:
-            problems.append(f"row {name} missing from the baseline")
-            continue
-        diff = [
-            field
-            for field in expected
-            if field in row and row[field] != expected[field]
-        ]
-        if diff:
-            problems.append(f"row {name} diverged on {', '.join(diff)}")
-    for name in base_rows:
-        problems.append(f"baseline row {name} missing from the current run")
-    current_speedup = current["aggregate"]["speedup"]
-    baseline_speedup = baseline["aggregate"]["speedup"]
-    floor = baseline_speedup * (1.0 - tolerance)
-    if current_speedup < floor:
-        problems.append(
-            f"kernel speedup {current_speedup:.2f}x fell below "
-            f"{floor:.2f}x (baseline {baseline_speedup:.2f}x - {tolerance:.0%})"
-        )
-    if problems:
-        return False, "; ".join(problems)
-    return True, (
-        f"{len(current['rows'])} timed rows bit-identical; kernel dispatch "
-        f"{current_speedup:.2f}x the stepwise reference "
-        f"({current['aggregate']['events_per_s']:,.0f} events/s)"
+    rows, checks = _identity_rows(n_errors, QUICK.seed)
+    checks["event_counts_match"] = throughput.pop("event_counts_match")
+    return make_payload(
+        "kernel",
+        params={"rounds": rounds, "n_errors": n_errors, "seed": QUICK.seed},
+        rows=rows,
+        checks=checks,
+        ratios={"speedup": throughput["speedup"]},
+        floors={"speedup": SPEEDUP_FLOOR},
+        detail={"throughput": throughput},
     )
-
-
-def _format_summary(payload: dict) -> str:
-    lines = [
-        f"{'workload':>16} {'events':>8} {'ref(ms)':>9} {'opt(ms)':>9} "
-        f"{'speedup':>8} {'events/s':>12}"
-    ]
-    for w in payload["throughput"]["workloads"]:
-        lines.append(
-            f"{w['name']:>16} {w['events']:>8} {w['reference_s'] * 1e3:>9.2f} "
-            f"{w['optimized_s'] * 1e3:>9.2f} {w['speedup']:>8.2f} "
-            f"{w['events_per_s']:>12,.0f}"
-        )
-    agg = payload["aggregate"]
-    lines.append(
-        f"{'TOTAL':>16} {payload['throughput']['total_events']:>8} "
-        f"{payload['throughput']['reference_s'] * 1e3:>9.2f} "
-        f"{payload['throughput']['optimized_s'] * 1e3:>9.2f} "
-        f"{agg['speedup']:>8.2f} {agg['events_per_s']:>12,.0f}"
-    )
-    for name, row in payload["rows"].items():
-        lines.append(
-            f"row {name}: recon={row['reconstruction_time']:.4f}s "
-            f"avg_resp={row['avg_response_time']:.6f}s "
-            f"requests={row['total_requests']}"
-        )
-    for name, ok in payload["checks"].items():
-        lines.append(f"check {name}: {'ok' if ok else 'FAILED'}")
-    return "\n".join(lines)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro-kernel-bench", description=__doc__.splitlines()[0]
-    )
-    parser.add_argument("--out", help="write the BENCH_kernel.json payload here")
-    parser.add_argument(
-        "--check",
-        metavar="BASELINE",
-        help="compare against a committed BENCH_kernel.json; exit 1 on "
-        "any invariant failure, row drift, or speedup regression",
-    )
-    parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--errors", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="allowed relative speedup regression vs the baseline",
-    )
-    args = parser.parse_args(argv)
-
-    payload = run_kernel_bench(
-        rounds=args.rounds, n_errors=args.errors, seed=args.seed
-    )
-    emit(_format_summary(payload))
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        emit(f"wrote {out}")
-    if args.check:
-        baseline = json.loads(Path(args.check).read_text(encoding="utf-8"))
-        ok, message = compare_to_baseline(
-            payload, baseline, tolerance=args.tolerance
-        )
-        emit(("PASS: " if ok else "FAIL: ") + message)
-        return 0 if ok else 1
-    if args.out and not all(payload["checks"].values()):
-        # A new baseline must demonstrate every invariant *and* the
-        # absolute speedup floor; the file is still written so the
-        # failing measurement can be inspected.
-        emit("FAIL: payload does not satisfy its own checks")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

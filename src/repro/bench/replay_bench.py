@@ -3,15 +3,14 @@
 Times the Figure 8 hit-ratio grid (the paper's policies over the FULL
 cache-size axis) through :func:`~repro.engine.stream.simulate_grid_pass`
 and through per-point :func:`~repro.engine.simulate_trace`, on one core,
-for every code family — and, when numpy is available, through the
-vector backend (``replay_backend="numpy"``), whose fleet solve is the
-third timing axis.  The resulting ``BENCH_replay.json`` is committed
-as the perf baseline; CI re-runs the bench and fails when
+for every code family — and through the vector backend
+(``replay_backend="numpy"``), whose fleet solve is the third timing
+axis.  The resulting ``BENCH_replay.json`` is committed as the perf
+baseline; CI re-runs the bench and fails when
 
-* the measured speedup (python-batched *or* numpy) falls more than 10%
-  below the committed baseline (each is a ratio of two single-core
-  timings from the same machine and run, so the check is
-  machine-independent), or
+* either speedup (python-batched or numpy) falls more than 10% below the
+  committed baseline (each is a ratio of two single-core timings from
+  the same machine and run, so the check is machine-independent), or
 * any row differs between the paths — the equivalence contract — or
 * the SHARDS-sampled stack-distance profile strays more than the
   committed absolute hit-ratio error bound from the exact Fenwick one.
@@ -21,21 +20,17 @@ stepped-only ones) and both states of the LRU stack-distance lever, at a
 smaller scale, so exactness is re-proven where the timed grid does not
 reach.
 
-Run directly: ``python -m repro.bench.replay_bench --out BENCH_replay.json``
-or ``--check benchmarks/BENCH_replay.json`` for the CI gate.
+Run: ``repro-fbf gate replay --out BENCH_replay.json`` or
+``repro-fbf gate replay --check benchmarks/BENCH_replay.json`` (CI).
 """
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Sequence
 
-from ..cache.registry import available_policies
+from ..cache.registry import PAPER_BASELINES, available_policies
 from ..engine import (
-    NUMPY_AVAILABLE,
     PlanCache,
     SampledStackDistanceProfile,
     StackDistanceProfile,
@@ -45,16 +40,13 @@ from ..engine import (
     simulate_trace,
 )
 from ..engine.stream import ReplayConfig
-from ..obs import emit
-from .engine import _git_rev
-from ..cache.registry import PAPER_BASELINES
 from .experiments import FULL
+from .gate import best_of, make_payload
 
 __all__ = [
     "DEFAULT_CODES",
     "ReplayGroupResult",
     "run_replay_bench",
-    "compare_to_baseline",
 ]
 
 #: One representative geometry per code family (Figure 8's five codes).
@@ -84,29 +76,17 @@ class ReplayGroupResult:
     batched_s: float
     per_point_s: float
     rows_identical: bool
-    #: vector-backend axis (None when numpy is unavailable)
-    numpy_s: float | None = None
-    numpy_rows_identical: bool | None = None
+    #: the vector-backend axis
+    numpy_s: float
+    numpy_rows_identical: bool
 
     @property
     def speedup(self) -> float:
         return self.per_point_s / self.batched_s if self.batched_s > 0 else 0.0
 
     @property
-    def numpy_speedup(self) -> float | None:
-        if self.numpy_s is None or self.numpy_s <= 0:
-            return None
-        return self.per_point_s / self.numpy_s
-
-
-def _best_of(fn, rounds: int) -> float:
-    """Min-of-N wall time: the stable estimator for short loops."""
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+    def numpy_speedup(self) -> float:
+        return self.per_point_s / self.numpy_s if self.numpy_s > 0 else 0.0
 
 
 def _bench_group(
@@ -155,16 +135,14 @@ def _bench_group(
 
     reference = per_point()
     identical = batched() == reference
-    numpy_s = numpy_identical = None
-    if NUMPY_AVAILABLE:
-        numpy_identical = vectored() == reference
-        numpy_s = _best_of(vectored, rounds)
+    numpy_identical = vectored() == reference
+    numpy_s = best_of(vectored, rounds)
     return ReplayGroupResult(
         code=backend.code_label,
         p=p,
         n_configs=len(configs),
-        batched_s=_best_of(batched, rounds),
-        per_point_s=_best_of(per_point, rounds),
+        batched_s=best_of(batched, rounds),
+        per_point_s=best_of(per_point, rounds),
         rows_identical=identical,
         numpy_s=numpy_s,
         numpy_rows_identical=numpy_identical,
@@ -298,9 +276,8 @@ def run_replay_bench(
     n_errors: int = 400,
     seed: int = 42,
     rounds: int = 2,
-    verify_all_policies: bool = True,
 ) -> dict:
-    """Run the replay microbench and return the BENCH_replay payload."""
+    """Run the replay microbench and return the schema-2 payload."""
     if capacities is None:
         capacities = _full_capacities()
     groups = [
@@ -311,200 +288,44 @@ def run_replay_bench(
     ]
     batched_s = sum(g.batched_s for g in groups)
     per_point_s = sum(g.per_point_s for g in groups)
-    numpy_s = (
-        sum(g.numpy_s for g in groups)
-        if groups and all(g.numpy_s is not None for g in groups)
-        else None
-    )
-    payload: dict = {
-        "schema": 1,
-        "kind": "replay-microbench",
-        "git_rev": _git_rev(),
-        "workers": workers,
-        "n_errors": n_errors,
-        "seed": seed,
-        "rounds": rounds,
-        "policies": list(policies),
-        "capacities_blocks": list(capacities),
-        "groups": [
-            {**asdict(g), "speedup": g.speedup,
-             "numpy_speedup": g.numpy_speedup}
-            for g in groups
-        ],
-        "aggregate": {
+    numpy_s = sum(g.numpy_s for g in groups)
+    identity = _verify_identity(codes)
+    shards = _shards_check(codes, 10 * n_errors, seed)
+    return make_payload(
+        "replay",
+        params={
+            "workers": workers,
+            "n_errors": n_errors,
+            "seed": seed,
+            "rounds": rounds,
+            "policies": list(policies),
+            "capacities_blocks": list(capacities),
+        },
+        checks={
+            "batched_rows_identical": all(g.rows_identical for g in groups),
+            "numpy_rows_identical": all(g.numpy_rows_identical for g in groups),
+            "identity_rows_identical": identity["rows_identical"],
+            "lru_fast_path_identical": identity["lru_fast_path_identical"],
+            "shards_within_bound": shards["within_bound"],
+        },
+        ratios={
+            "speedup": per_point_s / batched_s if batched_s > 0 else 0.0,
+            "numpy_speedup": per_point_s / numpy_s if numpy_s > 0 else 0.0,
+        },
+        # batched + per-point seconds: the obs zero-overhead contract
+        # (instrumentation disabled must cost nothing), gated by CI with
+        # --time-tolerance on comparable hardware.
+        timings={"aggregate_s": batched_s + per_point_s},
+        detail={
+            "groups": [
+                {**asdict(g), "speedup": g.speedup,
+                 "numpy_speedup": g.numpy_speedup}
+                for g in groups
+            ],
             "batched_s": batched_s,
             "per_point_s": per_point_s,
-            "speedup": per_point_s / batched_s if batched_s > 0 else 0.0,
             "numpy_s": numpy_s,
-            "numpy_speedup": (
-                per_point_s / numpy_s if numpy_s else None
-            ),
+            "identity": identity,
+            "shards": shards,
         },
-    }
-    if verify_all_policies:
-        payload["identity"] = _verify_identity(codes)
-    payload["shards"] = _shards_check(codes, 10 * n_errors, seed)
-    return payload
-
-
-def compare_to_baseline(
-    current: dict,
-    baseline: dict,
-    tolerance: float = 0.10,
-    time_tolerance: float | None = None,
-) -> tuple[bool, str]:
-    """CI gate: speedup within ``tolerance`` of the committed baseline.
-
-    Speedups are ratios of two timings from the *same* machine and run,
-    so comparing them across machines is sound where raw seconds are not.
-
-    ``time_tolerance`` additionally gates the *aggregate wall time*
-    (batched + per-point seconds) against the baseline's — the obs
-    overhead contract (instrumentation disabled must cost nothing).  Raw
-    seconds are machine-dependent, so this gate only makes sense when
-    baseline and current ran on comparable hardware; it is off by
-    default and opted into by CI with ``--time-tolerance``.
-    """
-    problems: list[str] = []
-    for group in current["groups"]:
-        if not group["rows_identical"]:
-            problems.append(
-                f"{group['code']}: batched rows differ from per-point rows"
-            )
-        if group.get("numpy_rows_identical") is False:
-            problems.append(
-                f"{group['code']}: numpy rows differ from per-point rows"
-            )
-    identity = current.get("identity")
-    if identity is not None:
-        if not identity["rows_identical"]:
-            problems.append("identity sweep: grid pass diverged from per-point")
-        if not identity["lru_fast_path_identical"]:
-            problems.append("identity sweep: LRU stack-distance path diverged")
-    current_speedup = current["aggregate"]["speedup"]
-    baseline_speedup = baseline["aggregate"]["speedup"]
-    floor = baseline_speedup * (1.0 - tolerance)
-    if current_speedup < floor:
-        problems.append(
-            f"aggregate speedup {current_speedup:.2f}x fell below "
-            f"{floor:.2f}x (baseline {baseline_speedup:.2f}x - {tolerance:.0%})"
-        )
-    cur_np = current["aggregate"].get("numpy_speedup")
-    base_np = baseline["aggregate"].get("numpy_speedup")
-    if cur_np is not None and base_np:
-        np_floor = base_np * (1.0 - tolerance)
-        if cur_np < np_floor:
-            problems.append(
-                f"numpy speedup {cur_np:.2f}x fell below {np_floor:.2f}x "
-                f"(baseline {base_np:.2f}x - {tolerance:.0%})"
-            )
-    shards = current.get("shards")
-    if shards is not None and not shards["within_bound"]:
-        problems.append(
-            f"SHARDS error {shards['max_abs_hit_ratio_err']:.4f} exceeds "
-            f"the {shards['bound']:.2f} absolute hit-ratio bound"
-        )
-    if time_tolerance is not None:
-        current_s = current["aggregate"]["batched_s"] + current["aggregate"]["per_point_s"]
-        baseline_s = (
-            baseline["aggregate"]["batched_s"] + baseline["aggregate"]["per_point_s"]
-        )
-        ceiling = baseline_s * (1.0 + time_tolerance)
-        if current_s > ceiling:
-            problems.append(
-                f"aggregate time {current_s:.2f}s exceeds {ceiling:.2f}s "
-                f"(baseline {baseline_s:.2f}s + {time_tolerance:.0%})"
-            )
-    if problems:
-        return False, "; ".join(problems)
-    return True, (
-        f"speedup {current_speedup:.2f}x vs baseline "
-        f"{baseline_speedup:.2f}x (tolerance {tolerance:.0%})"
     )
-
-
-def _format_summary(payload: dict) -> str:
-    def _np_cols(numpy_s, numpy_speedup):
-        if numpy_s is None:
-            return f"{'-':>9} {'-':>8}"
-        return f"{numpy_s:>8.2f}s {numpy_speedup:>7.2f}x"
-
-    lines = [
-        f"{'group':>16} {'configs':>7} {'batched':>9} {'per-point':>9} "
-        f"{'speedup':>8} {'numpy':>9} {'np-spdup':>8}"
-    ]
-    for g in payload["groups"]:
-        lines.append(
-            f"{g['code'] + ' p=' + str(g['p']):>16} {g['n_configs']:>7} "
-            f"{g['batched_s']:>8.2f}s {g['per_point_s']:>8.2f}s "
-            f"{g['speedup']:>7.2f}x "
-            + _np_cols(g.get("numpy_s"), g.get("numpy_speedup"))
-            + ("" if g["rows_identical"] else "  ROWS DIVERGED")
-            + ("" if g.get("numpy_rows_identical") is not False
-               else "  NUMPY ROWS DIVERGED")
-        )
-    agg = payload["aggregate"]
-    lines.append(
-        f"{'aggregate':>16} {'':>7} {agg['batched_s']:>8.2f}s "
-        f"{agg['per_point_s']:>8.2f}s {agg['speedup']:>7.2f}x "
-        + _np_cols(agg.get("numpy_s"), agg.get("numpy_speedup"))
-    )
-    shards = payload.get("shards")
-    if shards is not None:
-        verdict = "OK" if shards["within_bound"] else "EXCEEDED"
-        lines.append(
-            f"SHARDS @ rate={shards['rate']:g}: max |hit-ratio err| = "
-            f"{shards['max_abs_hit_ratio_err']:.5f} "
-            f"(bound {shards['bound']:.2f}: {verdict})"
-        )
-    return "\n".join(lines)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro-replay-bench", description=__doc__.splitlines()[0]
-    )
-    parser.add_argument("--out", help="write the BENCH_replay.json payload here")
-    parser.add_argument(
-        "--check",
-        metavar="BASELINE",
-        help="compare against a committed BENCH_replay.json; exit 1 on "
-        "row divergence or >10%% speedup regression",
-    )
-    parser.add_argument("--rounds", type=int, default=2)
-    parser.add_argument(
-        "--tolerance", type=float, default=0.10,
-        help="allowed fractional speedup regression for --check (default 0.10)",
-    )
-    parser.add_argument(
-        "--time-tolerance", type=float, default=None, metavar="FRACTION",
-        help="also gate aggregate wall time against the baseline's "
-        "(the obs zero-overhead contract; off by default because raw "
-        "seconds are machine-dependent)",
-    )
-    args = parser.parse_args(argv)
-
-    payload = run_replay_bench(rounds=args.rounds)
-    emit(_format_summary(payload))
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        emit(f"wrote {out}")
-    if args.check:
-        baseline = json.loads(Path(args.check).read_text(encoding="utf-8"))
-        ok, message = compare_to_baseline(
-            payload,
-            baseline,
-            tolerance=args.tolerance,
-            time_tolerance=args.time_tolerance,
-        )
-        emit(("PASS: " if ok else "FAIL: ") + message)
-        return 0 if ok else 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -19,6 +19,7 @@ Examples::
     repro-fbf info --code star --p 5
     repro-fbf serve --synthetic 0 --port 7777 --metrics-port 9100
     repro-fbf advise --port 7777
+    repro-fbf gate kernel --check benchmarks/BENCH_kernel.json --rounds 10
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ from .obs import emit
 from .workloads import ErrorTraceConfig, generate_errors, write_trace
 
 __all__ = ["main", "build_parser"]
+
+GATE_KINDS = ("kernel", "replay", "cluster", "simlint")
 
 EXPERIMENTS = (
     "fig8",
@@ -346,6 +349,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate at this SOR fan-out instead of the "
                         "server default")
     a.add_argument("--timeout", type=float, default=30.0)
+
+    g = sub.add_parser(
+        "gate",
+        help="run a microbench and gate it against a committed baseline",
+    )
+    g.add_argument("kind", choices=GATE_KINDS)
+    g.add_argument("--out", help="write the schema-2 payload here")
+    g.add_argument(
+        "--check", metavar="BASELINE",
+        help="compare against a committed BENCH_<kind>.json; exit 1 on a "
+        "failed check, row drift or a >10%% ratio regression",
+    )
+    g.add_argument(
+        "--rounds", type=int, default=None,
+        help="best-of rounds for the timed axes (not for cluster, whose "
+        "rows are virtual time)",
+    )
+    g.add_argument(
+        "--time-tolerance", type=float, default=None, metavar="FRACTION",
+        help="also gate raw timings against the baseline's (same-machine "
+        "comparisons only; off by default)",
+    )
 
     c = sub.add_parser(
         "check",
@@ -700,6 +725,28 @@ def _run_advise(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_gate(args: argparse.Namespace) -> int:
+    from .bench.cluster_bench import run_cluster_bench
+    from .bench.gate import run_gate
+    from .bench.kernel_bench import run_kernel_bench
+    from .bench.replay_bench import run_replay_bench
+    from .checks.bench import run_simlint_bench
+
+    runners = {
+        "kernel": run_kernel_bench,
+        "replay": run_replay_bench,
+        "cluster": run_cluster_bench,
+        "simlint": run_simlint_bench,
+    }
+    kwargs = {} if args.rounds is None else {"rounds": args.rounds}
+    if args.kind == "cluster" and kwargs:
+        emit("gate cluster: --rounds does not apply (rows are virtual time)",
+             stream=sys.stderr)
+        return 2
+    payload = runners[args.kind](**kwargs)
+    return run_gate(payload, args.out, args.check, args.time_tolerance)
+
+
 def _kernel_probe(scale: Scale) -> None:
     """A small DES run so kernel-layer metrics are populated.
 
@@ -788,6 +835,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if cmd == "bench":
         return _run_bench(args)
+
+    if cmd == "gate":
+        return _run_gate(args)
 
     if cmd == "serve":
         return _run_serve(args)

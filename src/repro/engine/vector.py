@@ -76,19 +76,17 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from ..obs import runtime as _obs
 
 if TYPE_CHECKING:  # pragma: no cover
     from .stream import InternedStream
 
-try:  # gate, don't require: callers fall back to the python backend.
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is baked into the env
-    np = None
-
 __all__ = ["NUMPY_AVAILABLE", "VECTOR_POLICIES", "VectorFleet", "VectorReplay"]
 
-NUMPY_AVAILABLE = np is not None
+#: numpy is a hard dependency; kept exported for API stability.
+NUMPY_AVAILABLE = True
 
 #: Registry policies with an exact vector kernel.
 VECTOR_POLICIES = frozenset({"fifo", "lru", "lfu", "arc", "fbf"})
@@ -711,8 +709,6 @@ class VectorFleet:
 
     def add(self, stream: "InternedStream", workers: int,
             per_worker_caps: Iterable[int]) -> int:
-        if np is None:  # pragma: no cover - numpy is baked into the env
-            raise RuntimeError("numpy is not available")
         caps = _check_caps(per_worker_caps)
         self._jobs.append((stream, int(workers), caps))
         return len(self._jobs) - 1
@@ -821,8 +817,6 @@ class VectorReplay:
     """
 
     def __init__(self, stream: "InternedStream"):
-        if np is None:  # pragma: no cover - numpy is baked into the env
-            raise RuntimeError("numpy is not available")
         self._stream = stream
         self._views: dict[int, _WorkerView] = {}
         self._memo: dict[tuple, Mapping[int, int]] = {}

@@ -30,8 +30,10 @@ for itself).
 
 The overhead contract: with obs **disabled** (the default), instrumented
 hot paths pay one module-attribute truth test per coarse operation —
-``repro.bench.replay_bench`` rows stay bit-identical and its aggregate
-wall time stays within 2% of the committed baseline (the CI gate).
+the replay gate's rows stay bit-identical and its ``aggregate_s`` wall
+time stays within 2% of the committed baseline (CI runs
+``repro-fbf gate replay --check benchmarks/BENCH_replay.json
+--time-tolerance 0.02``).
 """
 
 from __future__ import annotations

@@ -1,23 +1,15 @@
-"""Tests for the cluster-recovery CI gate (`repro.bench.cluster_bench`)."""
+"""Cluster-specific content of the cluster gate's payload.
 
-import copy
-
-from repro.bench.cluster_bench import compare_to_baseline, run_cluster_bench
+The comparison itself is shared by every kind and tested in
+``test_gate.py``.
+"""
 
 
 class TestClusterBench:
-    def test_payload_invariants_hold_at_small_scale(self):
-        payload = run_cluster_bench(n_errors=4)
+    def test_payload_invariants_hold_at_small_scale(self, gate_payload):
+        payload = gate_payload("cluster")
         assert all(payload["checks"].values())
         assert len(payload["rows"]) == 8
-        assert payload["aggregate"]["traffic_ratio"] > 1.0
-
-    def test_self_comparison_passes_and_drift_fails(self):
-        payload = run_cluster_bench(n_errors=4)
-        ok, message = compare_to_baseline(payload, payload)
-        assert ok, message
-        tampered = copy.deepcopy(payload)
-        tampered["rows"][0]["cross_rack_bytes"] += 1
-        ok, message = compare_to_baseline(tampered, payload)
-        assert not ok
-        assert "diverged on cross_rack_bytes" in message
+        assert "ec/fbf/healthy" in payload["rows"]
+        assert "rep/rep/limplock" in payload["rows"]
+        assert payload["detail"]["traffic_ratio"] > 1.0

@@ -1,70 +1,30 @@
-"""Tests for the kernel-dispatch CI gate (`repro.bench.kernel_bench`)."""
+"""Kernel-specific content of the kernel gate's payload.
 
-import copy
+The comparison itself is shared by every kind and tested in
+``test_gate.py``.
+"""
 
-import pytest
-
-from repro.bench.kernel_bench import (
-    WORKLOADS,
-    compare_to_baseline,
-    run_kernel_bench,
-)
-
-
-@pytest.fixture(scope="module")
-def payload():
-    # One round keeps the wall-clock measurement cheap; its speedup is
-    # noise, so only the floor check may legitimately come out False.
-    return run_kernel_bench(rounds=1, n_errors=4)
+from repro.bench.kernel_bench import SPEEDUP_FLOOR, WORKLOADS
 
 
 class TestKernelBench:
-    def test_payload_invariants_hold_at_small_scale(self, payload):
-        checks = dict(payload["checks"])
-        checks.pop("speedup_at_least_floor")  # wall-clock, not asserted here
-        assert all(checks.values()), checks
+    def test_payload_invariants_hold_at_small_scale(self, gate_payload):
+        payload = gate_payload("kernel")
+        assert all(payload["checks"].values()), payload["checks"]
         assert payload["kind"] == "kernel"
         assert set(payload["rows"]) == {"fig10", "fig11", "cluster"}
-        names = [w["name"] for w in payload["throughput"]["workloads"]]
+        assert payload["floors"] == {"speedup": SPEEDUP_FLOOR}
+        throughput = payload["detail"]["throughput"]
+        names = [w["name"] for w in throughput["workloads"]]
         assert names == [name for name, _ in WORKLOADS]
-        assert payload["throughput"]["total_events"] > 0
-        assert payload["aggregate"]["speedup"] > 0
-        assert payload["aggregate"]["events_per_s"] > 0
+        assert throughput["total_events"] > 0
+        assert throughput["events_per_s"] > 0
+        assert payload["ratios"]["speedup"] == throughput["speedup"] > 0
 
-    def test_rows_carry_virtual_time_only(self, payload):
+    def test_rows_carry_virtual_time_only(self, gate_payload):
         # The wall-clock planning-overhead columns must be stripped, or
         # the bit-exact row comparison would flake across machines.
-        for row in payload["rows"].values():
+        for row in gate_payload("kernel")["rows"].values():
             assert "overhead_mean_s" not in row
             assert "overhead_total_s" not in row
             assert row["total_requests"] > 0
-
-    def test_self_comparison_passes_and_drift_fails(self, payload):
-        baseline = copy.deepcopy(payload)
-        # A committed baseline always demonstrates the floor; a 1-round
-        # local measurement need not, so pin the flag rather than the
-        # measurement.
-        baseline["checks"]["speedup_at_least_floor"] = True
-        ok, message = compare_to_baseline(payload, baseline)
-        assert ok, message
-
-        tampered = copy.deepcopy(payload)
-        tampered["rows"]["fig11"]["cache_hits"] += 1
-        ok, message = compare_to_baseline(tampered, baseline)
-        assert not ok
-        assert "fig11" in message and "cache_hits" in message
-
-    def test_speedup_regression_fails(self, payload):
-        baseline = copy.deepcopy(payload)
-        baseline["checks"]["speedup_at_least_floor"] = True
-        baseline["aggregate"]["speedup"] = payload["aggregate"]["speedup"] * 2
-        ok, message = compare_to_baseline(payload, baseline)
-        assert not ok
-        assert "fell below" in message
-
-    def test_baseline_without_floor_rejected(self, payload):
-        baseline = copy.deepcopy(payload)
-        baseline["checks"]["speedup_at_least_floor"] = False
-        ok, message = compare_to_baseline(payload, baseline)
-        assert not ok
-        assert "does not demonstrate" in message
