@@ -11,7 +11,9 @@ import pytest
 
 from repro.bench.experiments import Scale
 from repro.codes import make_code
-from repro.sim import SimConfig, run_reconstruction, run_reconstruction_dor
+from repro.engine import XORBackend, run_timed_replay
+from repro.sim import SimConfig
+from repro.sim.dor import run_reconstruction_dor
 from repro.workloads import ErrorTraceConfig, generate_errors
 
 
@@ -23,14 +25,14 @@ def test_parallelism_ablation(benchmark, save_report):
 
     def run():
         rows = []
-        serial = run_reconstruction(
-            layout, errors,
+        serial = run_timed_replay(
+            XORBackend(layout), errors,
             SimConfig(cache_size=cache, workers=1, parallel_chain_reads=False),
         )
         rows.append(("serial", serial))
         for workers in (4, 16, 64):
-            rep = run_reconstruction(
-                layout, errors, SimConfig(cache_size=cache, workers=workers)
+            rep = run_timed_replay(
+                XORBackend(layout), errors, SimConfig(cache_size=cache, workers=workers)
             )
             rows.append((f"sor-{workers}", rep))
         rows.append(("dor", run_reconstruction_dor(

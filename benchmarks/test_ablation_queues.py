@@ -17,7 +17,7 @@ import pytest
 
 from repro.codes import make_code
 from repro.core.fbf_cache import FBFCache
-from repro.sim import PlanCache, simulate_cache_trace
+from repro.engine import PlanCache, XORBackend, simulate_trace
 from repro.workloads import ErrorTraceConfig, generate_errors
 
 QUEUE_COUNTS = (1, 2, 3, 5, 8)
@@ -28,14 +28,14 @@ BLOCKS = (64, 128, 256, 512)
 def test_queue_count_ablation(benchmark, save_report):
     layout = make_code("star", 11)  # adjuster-heavy: shares exceed 3
     errors = generate_errors(layout, ErrorTraceConfig(n_errors=60, seed=42))
-    plans = PlanCache(layout, "fbf")
+    plans = PlanCache(XORBackend(layout, "fbf"))
 
     def run():
         table = {}
         for n_queues in QUEUE_COUNTS:
             for blocks in BLOCKS:
-                res = simulate_cache_trace(
-                    layout,
+                res = simulate_trace(
+                    plans.backend,
                     errors,
                     capacity_blocks=blocks,
                     workers=16,

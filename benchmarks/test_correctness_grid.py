@@ -10,7 +10,8 @@ guarantee behind all the performance numbers.
 import pytest
 
 from repro.codes import make_code
-from repro.sim import SimConfig, run_reconstruction
+from repro.engine import XORBackend, run_timed_replay
+from repro.sim import SimConfig
 from repro.workloads import ErrorTraceConfig, generate_errors
 
 CODES = ("tip", "hdd1", "triple-star", "star")
@@ -29,8 +30,8 @@ def test_payload_correctness_grid(benchmark, save_report):
                     layout, ErrorTraceConfig(n_errors=15, seed=7)
                 )
                 for scheme in SCHEMES:
-                    rep = run_reconstruction(
-                        layout,
+                    rep = run_timed_replay(
+                        XORBackend(layout, scheme),
                         errors,
                         SimConfig(workers=4, verify_payloads=True,
                                   scheme_mode=scheme),

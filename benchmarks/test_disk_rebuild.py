@@ -9,7 +9,8 @@ of each code under the greedy scheme, plus a timed rebuild comparison.
 import pytest
 
 from repro.codes import make_code
-from repro.sim import SimConfig, rebuild_read_savings, run_disk_rebuild
+from repro.sim import SimConfig
+from repro.sim.rebuild import rebuild_read_savings, run_disk_rebuild
 
 CODES = ("tip", "hdd1", "triple-star", "star")
 

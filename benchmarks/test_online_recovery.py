@@ -9,7 +9,8 @@ reads — the window-of-vulnerability cost experienced by real traffic.
 import pytest
 
 from repro.codes import make_code
-from repro.sim import SimConfig, run_online_recovery
+from repro.sim import SimConfig
+from repro.sim.online import run_online_recovery
 from repro.workloads import (
     AppWorkloadConfig,
     ErrorTraceConfig,

@@ -10,7 +10,7 @@ with everyone improving as slots multiply.
 import pytest
 
 from repro.codes import make_code
-from repro.sim import PlanCache, simulate_cache_trace
+from repro.engine import PlanCache, XORBackend, simulate_trace
 from repro.utils import parse_size
 from repro.workloads import ErrorTraceConfig, generate_errors
 
@@ -24,15 +24,15 @@ WORKERS = 32
 def test_chunk_size_sensitivity(benchmark, save_report):
     layout = make_code("tip", 11)
     errors = generate_errors(layout, ErrorTraceConfig(n_errors=60, seed=42))
-    plans = PlanCache(layout, "fbf")
+    plans = PlanCache(XORBackend(layout, "fbf"))
 
     def run():
         table = {}
         for chunk in CHUNK_SIZES:
             blocks = CACHE_BYTES // parse_size(chunk)
             for policy in POLICIES:
-                table[(chunk, policy)] = simulate_cache_trace(
-                    layout, errors, policy=policy, capacity_blocks=blocks,
+                table[(chunk, policy)] = simulate_trace(
+                    plans.backend, errors, policy=policy, capacity_blocks=blocks,
                     workers=WORKERS, plan_cache=plans,
                 )
         return table

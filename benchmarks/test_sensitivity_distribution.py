@@ -13,7 +13,7 @@ import dataclasses
 import pytest
 
 from repro.codes import make_code
-from repro.sim import PlanCache, simulate_cache_trace
+from repro.engine import PlanCache, XORBackend, simulate_trace
 from repro.workloads import ErrorTraceConfig, SizeDistribution, generate_errors
 
 DISTRIBUTIONS = {
@@ -37,10 +37,10 @@ def test_distribution_sensitivity(benchmark, save_report):
                 layout,
                 ErrorTraceConfig(n_errors=80, seed=42, size=dist),
             )
-            plans = PlanCache(layout, "fbf")
+            plans = PlanCache(XORBackend(layout, "fbf"))
             for policy in POLICIES:
-                table[(dist_name, policy)] = simulate_cache_trace(
-                    layout, errors, policy=policy, capacity_blocks=blocks,
+                table[(dist_name, policy)] = simulate_trace(
+                    plans.backend, errors, policy=policy, capacity_blocks=blocks,
                     workers=workers, plan_cache=plans,
                 )
         return table

@@ -9,7 +9,8 @@ artifact of the constant-latency model.
 import pytest
 
 from repro.codes import make_code
-from repro.sim import SimConfig, run_reconstruction
+from repro.engine import XORBackend, run_timed_replay
+from repro.sim import SimConfig
 from repro.workloads import ErrorTraceConfig, generate_errors
 
 SCHEDULERS = ("fcfs", "sstf", "scan")
@@ -24,8 +25,8 @@ def test_scheduler_sensitivity(benchmark, save_report):
         table = {}
         for scheduler in SCHEDULERS:
             for policy in ("lru", "fbf"):
-                table[(scheduler, policy)] = run_reconstruction(
-                    layout, errors,
+                table[(scheduler, policy)] = run_timed_replay(
+                    XORBackend(layout), errors,
                     SimConfig(policy=policy, cache_size="2MB", workers=8,
                               disk_model="hdd", disk_scheduler=scheduler),
                 )

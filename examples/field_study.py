@@ -11,7 +11,7 @@ Run:  python examples/field_study.py
 
 from repro import SimConfig, make_code
 from repro.analysis import mttdl_3dft
-from repro.sim import run_online_recovery
+from repro.sim.online import run_online_recovery
 from repro.workloads import (
     AppWorkloadConfig,
     FieldModel,

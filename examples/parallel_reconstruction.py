@@ -10,7 +10,8 @@ time, and dumping per-disk utilization.
 Run:  python examples/parallel_reconstruction.py
 """
 
-from repro import SimConfig, make_code, run_reconstruction
+from repro import SimConfig, make_code
+from repro.engine import XORBackend, run_timed_replay
 from repro.workloads import ErrorTraceConfig, generate_errors
 
 
@@ -29,31 +30,31 @@ def main() -> None:
 
     print("scaling SOR workers (offline batch recovery, FBF):")
     for workers in (1, 4, 16, 64):
-        rep = run_reconstruction(
-            layout, errors,
+        rep = run_timed_replay(
+            XORBackend(layout), errors,
             SimConfig(policy="fbf", cache_size="8MB", workers=workers),
         )
         report_line(f"{workers:3d} worker(s)", rep)
 
     print("\nFBF vs LRU at 16 workers:")
     for policy in ("fbf", "lru"):
-        rep = run_reconstruction(
-            layout, errors,
+        rep = run_timed_replay(
+            XORBackend(layout), errors,
             SimConfig(policy=policy, cache_size="8MB", workers=16),
         )
         report_line(policy, rep)
 
     print("\nonline recovery (errors repaired as they arrive):")
-    rep = run_reconstruction(
-        layout, errors,
+    rep = run_timed_replay(
+        XORBackend(layout), errors,
         SimConfig(policy="fbf", cache_size="8MB", workers=16,
                   respect_arrival_times=True),
     )
     report_line("fbf online", rep)
 
     print("\nserial chain reads (no intra-chain parallelism):")
-    rep = run_reconstruction(
-        layout, errors,
+    rep = run_timed_replay(
+        XORBackend(layout), errors,
         SimConfig(policy="fbf", cache_size="8MB", workers=16,
                   parallel_chain_reads=False),
     )

@@ -11,7 +11,7 @@ wins.
 Run:  python examples/reliability_analysis.py
 """
 
-from repro import SimConfig, make_code, run_reconstruction
+from repro import SimConfig, make_code
 from repro.analysis import (
     expected_reads,
     lru_hit_curve,
@@ -19,6 +19,7 @@ from repro.analysis import (
     wov_improvement,
 )
 from repro.core import generate_plan
+from repro.engine import XORBackend, run_timed_replay
 from repro.workloads import ErrorTraceConfig, generate_errors
 
 
@@ -29,8 +30,8 @@ def main() -> None:
     # 1. Measure recovery speed under both policies (tight cache).
     reports = {}
     for policy in ("lru", "fbf"):
-        reports[policy] = run_reconstruction(
-            layout, errors, SimConfig(policy=policy, cache_size="4MB", workers=16)
+        reports[policy] = run_timed_replay(
+            XORBackend(layout), errors, SimConfig(policy=policy, cache_size="4MB", workers=16)
         )
     lru_t = reports["lru"].reconstruction_time
     fbf_t = reports["fbf"].reconstruction_time

@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 from repro import FBFCache, PriorityDictionary, generate_plan, make_code
-from repro.sim import simulate_cache_trace
+from repro.engine import XORBackend, simulate_trace
 from repro.workloads import (
     AppWorkloadConfig,
     ErrorTraceConfig,
@@ -37,7 +37,7 @@ def part1_trace_files(layout) -> None:
         print(f"wrote {len(errors)} errors to {path.name} "
               f"({path.stat().st_size} bytes)")
         replayed = read_trace(path)
-    res = simulate_cache_trace(layout, replayed, policy="fbf",
+    res = simulate_trace(XORBackend(layout), replayed, policy="fbf",
                                capacity_blocks=64, workers=8)
     print(f"replay: {res.requests} requests, hit ratio {res.hit_ratio:.2%}, "
           f"{res.disk_reads} disk reads\n")

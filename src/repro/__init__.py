@@ -49,12 +49,7 @@ from .core import (
     UnrecoverableError,
     generate_plan,
 )
-from .sim import (
-    ReconstructionReport,
-    SimConfig,
-    run_reconstruction,
-    simulate_cache_trace,
-)
+from .sim import ReconstructionReport, SimConfig
 from .workloads import (
     ErrorTraceConfig,
     PartialStripeError,
@@ -111,8 +106,6 @@ __all__ = [
     # sim
     "ReconstructionReport",
     "SimConfig",
-    "run_reconstruction",
-    "simulate_cache_trace",
     # workloads
     "ErrorTraceConfig",
     "PartialStripeError",

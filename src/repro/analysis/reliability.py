@@ -107,8 +107,8 @@ def wov_improvement(
     """Quantify how a faster recovery shrinks the WOV and grows MTTDL.
 
     Feed it the reconstruction times of two cache policies (e.g. LRU and
-    FBF from :func:`repro.sim.run_reconstruction`) to convert the paper's
-    Figure 11 into a reliability statement.
+    FBF from :func:`repro.engine.timed.run_timed_replay`) to convert the
+    paper's Figure 11 into a reliability statement.
     """
     if improved_repair_hours > baseline_repair_hours:
         raise ValueError(

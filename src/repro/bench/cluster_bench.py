@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import asdict, replace
 
 from ..codes import make_code
-from ..sim import SimConfig, TopologySpec, run_reconstruction
+from ..engine import XORBackend, run_timed_replay
+from ..sim import SimConfig, TopologySpec
 from ..sim.cluster import ClusterSpec, run_cluster_recovery
 from ..workloads import ErrorTraceConfig, generate_errors
 from .experiments import QUICK
@@ -43,9 +44,10 @@ def _degenerate_identical(n_errors: int, seed: int) -> bool:
         layout, ErrorTraceConfig(n_errors=n_errors, seed=seed)
     )
     config = SimConfig(workers=8)
-    base = run_reconstruction(layout, errors, config)
-    topo = run_reconstruction(
-        layout, errors, replace(config, topology=TopologySpec())
+    backend = XORBackend(layout, config.scheme_mode)
+    base = run_timed_replay(backend, errors, config)
+    topo = run_timed_replay(
+        backend, errors, replace(config, topology=TopologySpec())
     )
     return (base.simulated_dict(exclude=("cluster",))
             == topo.simulated_dict(exclude=("cluster",)))

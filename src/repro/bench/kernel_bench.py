@@ -34,8 +34,9 @@ from heapq import heappop, heappush
 from typing import Callable
 
 from ..codes import make_code
+from ..engine import XORBackend, run_timed_replay
 from ..obs import runtime as _obs
-from ..sim import SimConfig, TopologySpec, run_reconstruction
+from ..sim import SimConfig, TopologySpec
 from ..sim.kernel import Container, Environment, Event, Resource, Store
 from ..workloads import ErrorTraceConfig, generate_errors
 from .gate import best_of, make_payload
@@ -282,7 +283,7 @@ def _row(report) -> dict:
 def _row_configs() -> dict[str, SimConfig]:
     return {
         # fig10: per-chunk response time with online arrivals — exercises
-        # the _worker arrival-skip path.
+        # the timed worker's arrival-skip path.
         "fig10": SimConfig(
             cache_size="2MB", workers=8, respect_arrival_times=True
         ),
@@ -317,21 +318,22 @@ def _identity_rows(n_errors: int, seed: int) -> tuple[dict, dict]:
         "rows_obs_invariant": True,
     }
     for name, config in _row_configs().items():
-        base = _row(run_reconstruction(layout, errors, config))
+        backend = XORBackend(layout, config.scheme_mode)
+        base = _row(run_timed_replay(backend, errors, config))
         rows[name] = base
         unpooled = _row(
-            run_reconstruction(
-                layout, errors, replace(config, kernel_pooling=False)
+            run_timed_replay(
+                backend, errors, replace(config, kernel_pooling=False)
             )
         )
         checks["rows_pooling_invariant"] &= unpooled == base
         sanitized = _row(
-            run_reconstruction(layout, errors, replace(config, sanitize=True))
+            run_timed_replay(backend, errors, replace(config, sanitize=True))
         )
         checks["rows_sanitize_invariant"] &= sanitized == base
         _obs.enable(fresh=True)
         try:
-            observed = _row(run_reconstruction(layout, errors, config))
+            observed = _row(run_timed_replay(backend, errors, config))
         finally:
             _obs.disable()
         checks["rows_obs_invariant"] &= observed == base

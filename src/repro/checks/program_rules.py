@@ -67,9 +67,13 @@ DEFAULT_LAYERS: Mapping[str, int] = {
     "cache": 1,
     "sim": 1,
     "sim.topology": 1,
-    # the cluster scenario drives the engine's timed replay, so it lives
-    # with the engine in the DAG even though it ships under sim/
+    # the recovery scenarios drive the engine (timed replay, plan cache),
+    # so they live with the engine in the DAG even though they ship
+    # under sim/
     "sim.cluster": 2,
+    "sim.dor": 2,
+    "sim.online": 2,
+    "sim.rebuild": 2,
     "lrc": 1,
     "engine": 2,
     "array": 2,

@@ -37,9 +37,10 @@ GF2001     GF(2)/XOR purity in ``repro/codes``: no true division and no
            float dtypes in parity paths (XOR algebra is exact; floats
            would silently corrupt parity)
 ENG001     no imports of the pre-unification replay modules
-           (``repro.lrc.tracesim``) or their deleted entry points
-           (``simulate_lrc_trace``/``LRCTraceResult``) — every replay goes
-           through :mod:`repro.engine`
+           (``repro.lrc.tracesim``, ``repro.sim.tracesim``) or their
+           deleted entry points (``simulate_lrc_trace``/``LRCTraceResult``/
+           ``simulate_cache_trace``) — every replay goes through
+           :mod:`repro.engine`
 PERF001    no ``backend.build_plan(...)`` call sites outside
            :class:`~repro.engine.tracesim.PlanCache` — plans are built
            once per plan key and shared; a direct call silently forfeits
@@ -409,9 +410,7 @@ class CpuCountLeakRule(Rule):
         "GridPoint",
         "ErrorTraceConfig",
         "LRCWorkloadConfig",
-        "simulate_cache_trace",
         "simulate_trace",
-        "run_reconstruction",
         "run_timed_replay",
         "make_backend",
         "generate_errors",
@@ -702,71 +701,96 @@ class LegacyReplayImportRule(Rule):
     """ENG001: the pre-unification replay world must stay deleted.
 
     ``repro.lrc.tracesim`` duplicated the trace replay and was removed
-    when the unified engine landed; any import of it (absolute or
-    relative) — or of its deleted entry points through ``repro.lrc`` —
+    when the unified engine landed; ``repro.sim.tracesim``, its XOR-world
+    adapter, followed once every caller had moved to the engine.  Any
+    import of either module (absolute or relative) — or of their deleted
+    entry points through ``repro.lrc``/``repro.sim``/``repro`` —
     resurrects a second replay implementation and silently forks the
-    numbers.  ``repro.sim.tracesim`` survives only as a thin adapter over
-    :func:`repro.engine.simulate_trace`, so importing it stays legal.
+    numbers.
     """
 
     rule_id = "ENG001"
-    summary = "no imports of repro.lrc.tracesim or its deleted entry points"
+    summary = "no imports of the deleted lrc/sim tracesim modules or their entry points"
 
-    _DELETED_MODULE = "lrc.tracesim"
-    _DELETED_NAMES = {"simulate_lrc_trace", "LRCTraceResult"}
+    #: deleted module (package-relative) -> (its entry points, the fix).
+    _DELETED = {
+        "lrc.tracesim": (
+            {"simulate_lrc_trace", "LRCTraceResult"},
+            "repro.engine.simulate_trace with an LRCBackend",
+        ),
+        "sim.tracesim": (
+            {"simulate_cache_trace"},
+            "repro.engine.simulate_trace with an XORBackend",
+        ),
+    }
 
-    def _module_is_deleted(self, module: str | None, level: int) -> bool:
+    def _deleted_module(
+        self, module: str | None, level: int, package: str | None
+    ) -> str | None:
+        """The deleted module an import names, if any.
+
+        Relative forms: "from .tracesim import ..." inside the package,
+        "from .lrc.tracesim import ..." / "from ..sim.tracesim import ...".
+        """
         if module is None:
-            return False
-        if level == 0:
-            return module == f"repro.{self._DELETED_MODULE}"
-        # relative: "from .tracesim import ..." inside repro/lrc, or
-        # "from .lrc.tracesim import ..." / "from ..lrc.tracesim import ..."
-        return module == self._DELETED_MODULE or module.endswith(
-            f".{self._DELETED_MODULE}"
-        )
+            return None
+        for deleted in self._DELETED:
+            if level == 0:
+                if module == f"repro.{deleted}":
+                    return deleted
+            elif module == deleted or module.endswith(f".{deleted}") or (
+                level == 1 and f"{package}.{module}" == deleted
+            ):
+                return deleted
+        return None
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Violation]:
-        inside_lrc = "repro/lrc/" in Path(path).as_posix()
+        posix = Path(path).as_posix()
+        package = next(
+            (pkg for pkg in ("lrc", "sim") if f"repro/{pkg}/" in posix), None
+        )
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    if alias.name == f"repro.{self._DELETED_MODULE}":
+                    deleted = self._deleted_module(alias.name, 0, package)
+                    if deleted is not None:
                         yield self.violation(
                             node,
                             path,
                             f"import of deleted module {alias.name}; use "
-                            f"repro.engine.simulate_trace with an LRCBackend",
+                            f"{self._DELETED[deleted][1]}",
                         )
             elif isinstance(node, ast.ImportFrom):
                 module = node.module
-                if self._module_is_deleted(module, node.level) or (
-                    inside_lrc and node.level == 1 and module == "tracesim"
-                ):
+                deleted = self._deleted_module(module, node.level, package)
+                if deleted is not None:
                     yield self.violation(
                         node,
                         path,
                         f"import from deleted module "
-                        f"{'.' * node.level}{module}; use repro.engine."
-                        f"simulate_trace with an LRCBackend",
+                        f"{'.' * node.level}{module}; use "
+                        f"{self._DELETED[deleted][1]}",
                     )
                     continue
                 # deleted entry points re-exported nowhere: catch stale
-                # "from repro.lrc import simulate_lrc_trace" too.
-                from_lrc_pkg = (
-                    module in ("repro.lrc", "lrc")
-                    or (module is not None and module.endswith(".lrc"))
-                    or (inside_lrc and node.level > 0 and module is None)
-                )
-                if from_lrc_pkg:
+                # "from repro.lrc import simulate_lrc_trace" and
+                # "from repro import simulate_cache_trace" too.
+                for deleted, (names, fix) in self._DELETED.items():
+                    pkg = deleted.split(".")[0]
+                    from_pkg = (
+                        module in (f"repro.{pkg}", pkg, "repro")
+                        or (module is not None and module.endswith(f".{pkg}"))
+                        or (package == pkg and node.level > 0 and module is None)
+                    )
+                    if not from_pkg:
+                        continue
                     for alias in node.names:
-                        if alias.name in self._DELETED_NAMES:
+                        if alias.name in names:
                             yield self.violation(
                                 node,
                                 path,
                                 f"{alias.name} was deleted with "
-                                f"repro.lrc.tracesim; use repro.engine."
-                                f"simulate_trace with an LRCBackend",
+                                f"repro.{deleted}; use {fix}",
                             )
 
 

@@ -852,7 +852,8 @@ def main(argv: list[str] | None = None) -> int:
         return _run_cluster(args)
 
     if cmd == "verify":
-        from .sim import SimConfig, run_reconstruction
+        from .engine import XORBackend, run_timed_replay
+        from .sim import SimConfig
 
         failures = 0
         emit(f"{'code':>12} {'p':>3} {'scheme':>8} {'chunks':>7} {'mismatch':>9}")
@@ -863,8 +864,8 @@ def main(argv: list[str] | None = None) -> int:
                     layout, ErrorTraceConfig(n_errors=args.errors, seed=args.seed)
                 )
                 for scheme in ("typical", "fbf", "greedy"):
-                    rep = run_reconstruction(
-                        layout, errs,
+                    rep = run_timed_replay(
+                        XORBackend(layout, scheme), errs,
                         SimConfig(workers=4, verify_payloads=True,
                                   scheme_mode=scheme),
                     )
@@ -878,7 +879,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if failures == 0 else 1
 
     if cmd == "rebuild":
-        from .sim import SimConfig, rebuild_read_savings, run_disk_rebuild
+        from .sim import SimConfig
+        from .sim.rebuild import rebuild_read_savings, run_disk_rebuild
 
         layout = make_code(args.code, args.p)
         emit(f"{layout.name} p={args.p}: per-stripe unique reads to rebuild each disk")

@@ -16,15 +16,11 @@ contract of :mod:`repro.engine.backend`:
 Both produce byte-identical request streams and priorities to the
 pre-unification replay implementations — pinned by
 ``tests/engine/test_golden_equivalence.py``.
-
-Imports of :mod:`repro.sim` are deferred into the geometry/datapath
-factories: the sim package's controller imports this module, so a
-module-level import would cycle.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Hashable
+from typing import Any, Hashable
 
 from ..codes.layout import CodeLayout
 from ..core.priorities import PriorityDictionary
@@ -32,12 +28,10 @@ from ..core.scheme import SchemeMode, generate_plan
 from ..lrc.code import LRCCode
 from ..lrc.scheme import plan_lrc_recovery
 from ..lrc.workload import LRCFailureEvent, LRCWorkloadConfig, generate_lrc_failures
+from ..sim.array import ArrayGeometry, FlatGeometry
+from ..sim.datapath import PayloadOracle, VerifyingDataPath
 from ..workloads.errors import ErrorTraceConfig, PartialStripeError, generate_errors
 from .backend import EnginePlan, RecoveryStep
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.array import ArrayGeometry, FlatGeometry
-    from ..sim.datapath import VerifyingDataPath
 
 __all__ = ["XORBackend", "LRCBackend"]
 
@@ -88,14 +82,10 @@ class XORBackend:
         return generate_errors(self.layout, ErrorTraceConfig(n_errors=n, seed=seed))
 
     # -- timed-replay hooks ---------------------------------------------------
-    def make_geometry(self, chunk_size: int, stripes: int) -> "ArrayGeometry":
-        from ..sim.array import ArrayGeometry
-
+    def make_geometry(self, chunk_size: int, stripes: int) -> ArrayGeometry:
         return ArrayGeometry(layout=self.layout, chunk_size=chunk_size, stripes=stripes)
 
-    def make_datapath(self, payload_size: int, seed: int) -> "VerifyingDataPath":
-        from ..sim.datapath import PayloadOracle, VerifyingDataPath
-
+    def make_datapath(self, payload_size: int, seed: int) -> VerifyingDataPath:
         return VerifyingDataPath(
             PayloadOracle(self.layout, payload_size=payload_size, seed=seed)
         )
@@ -154,9 +144,7 @@ class LRCBackend:
         )
 
     # -- timed-replay hooks ---------------------------------------------------
-    def make_geometry(self, chunk_size: int, stripes: int) -> "FlatGeometry":
-        from ..sim.array import FlatGeometry
-
+    def make_geometry(self, chunk_size: int, stripes: int) -> FlatGeometry:
         return FlatGeometry(
             units=self.code.all_blocks, chunk_size=chunk_size, stripes=stripes
         )

@@ -1,74 +1,118 @@
-"""The unified timed replay over the event kernel, one per repo.
+"""The timed replay over the event kernel: the one place a timed run is built.
 
-Generalizes the serial/SOR batch reconstruction of
-:mod:`repro.sim.reconstruction` to any
+Serial/SOR batch reconstruction for any
 :class:`~repro.engine.backend.CodeBackend`: the backend supplies the
 array geometry (XOR codes map cells onto a ``rows x disks`` grid, LRC
 blocks onto a flat one-block-per-disk layout), the recovery plans and
 the optional verifying datapath; the event kernel, disks, timed buffer
-cache and controller are shared.
+cache and controller come from :mod:`repro.sim`.
 
-``repro.sim.run_reconstruction`` is now a thin layout-flavoured wrapper
-over :func:`run_timed_replay`.
+The paper extends Stripe-Oriented Reconstruction (SOR) to partial stripe
+recovery: multiple worker processes each repair a subset of the failed
+stripes, and "each process is allocated with a small part of cache" — so
+the total buffer cache is partitioned evenly across workers.  Workers
+contend for the shared disks, which the event kernel resolves through the
+per-disk FIFO queues.
 
-The :mod:`repro.sim` imports are deferred into the function body:
-``repro.sim.reconstruction`` imports this module, so module-level
-imports would cycle.
+The other timed scenarios (DOR, online recovery) pick their kernel and
+buffer cache through :func:`make_environment` and :func:`make_cache`, so
+every timed run honours ``SimConfig.sanitize`` and ``kernel_pooling``
+the same way.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
 
 from ..cache.base import CachePolicy
+from ..cache.registry import make_policy
+from ..sim.array import DiskArray
+from ..sim.cache_sim import TimedBufferCache
+from ..sim.controller import RAIDController
+from ..sim.kernel import Environment
+from ..sim.reconstruction import (
+    ClusterStats,
+    ReconstructionReport,
+    SimConfig,
+    build_array,
+)
+from ..sim.topology import HeartbeatMonitor, build_topology
 from .backend import CodeBackend
+from .tracesim import PlanCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.reconstruction import ReconstructionReport, SimConfig
+    from ..obs.metrics import Histogram
 
-__all__ = ["run_timed_replay"]
+__all__ = ["run_timed_replay", "make_environment", "make_cache"]
+
+
+def make_environment(config: SimConfig) -> Environment:
+    """The event kernel for a run under ``config``: sanitized when
+    ``config.sanitize``, with ``config.kernel_pooling``."""
+    if config.sanitize:
+        # Imported here: loading repro.checks pulls in the whole linter.
+        from ..checks.sanitizer import SanitizedEnvironment
+
+        return SanitizedEnvironment(pooling=config.kernel_pooling)
+    return Environment(pooling=config.kernel_pooling)
+
+
+def make_cache(
+    env: Environment,
+    policy: CachePolicy,
+    array: DiskArray,
+    config: SimConfig,
+    response_histogram: Histogram | None = None,
+) -> TimedBufferCache:
+    """A timed buffer cache over ``array``, sanitized when ``config.sanitize``."""
+    return TimedBufferCache(
+        env, policy, array, hit_time=config.hit_time, sanitize=config.sanitize,
+        response_histogram=response_histogram,
+    )
+
+
+def _worker(
+    env: Environment,
+    controller: RAIDController,
+    cache: TimedBufferCache,
+    events: Sequence[Any],
+    respect_arrival_times: bool,
+) -> Generator:
+    recover = controller.recover_error
+    if not respect_arrival_times:
+        # Batch mode repairs back-to-back: no arrival check per event.
+        for event in events:
+            yield from recover(event, cache)
+        return
+    timeout = env.timeout
+    for event in events:
+        # Only wait for arrivals still in the future — an arrival time at
+        # or before ``now`` must not cost a redundant zero-delay event.
+        delay = event.time - env.now
+        if delay > 0:
+            yield timeout(delay)
+        yield from recover(event, cache)
 
 
 def run_timed_replay(
     backend: CodeBackend,
     events: Sequence[Any],
-    config: "SimConfig | None" = None,
+    config: SimConfig | None = None,
     policy_factory: Callable[[int], CachePolicy] | None = None,
-) -> "ReconstructionReport":
+) -> ReconstructionReport:
     """Simulate timed recovery of ``events`` under ``config`` via ``backend``.
 
     ``policy_factory`` overrides the registry lookup (useful for custom
     policies); it receives the per-worker capacity in blocks.  The
-    backend's scheme label wins over ``config.scheme_mode`` (the config
-    field parameterises the XOR convenience wrapper, which builds the
-    backend from it).
+    backend's scheme label wins over ``config.scheme_mode``: an XOR run
+    builds its backend as ``XORBackend(layout, config.scheme_mode)``.
     """
-    from ..cache.registry import make_policy
-    from ..sim.cache_sim import TimedBufferCache
-    from ..sim.controller import RAIDController
-    from ..sim.kernel import Environment
-    from ..sim.reconstruction import (
-        ClusterStats,
-        ReconstructionReport,
-        SimConfig,
-        _worker,
-        build_array,
-    )
-    from ..sim.topology import HeartbeatMonitor, build_topology
-
     if config is None:
         config = SimConfig()
     if not events:
         raise ValueError("no events to recover")
     events = sorted(events)
-    if config.sanitize:
-        # Imported here: repro.checks imports the kernel, which would
-        # cycle at module import time.
-        from ..checks.sanitizer import SanitizedEnvironment
-
-        env: Environment = SanitizedEnvironment(pooling=config.kernel_pooling)
-    else:
-        env = Environment(pooling=config.kernel_pooling)
+    env = make_environment(config)
     geometry = backend.make_geometry(
         chunk_size=config.chunk_bytes, stripes=config.array_stripes
     )
@@ -100,10 +144,10 @@ def run_timed_replay(
     controller = RAIDController(
         env,
         array,
+        PlanCache(backend),
         xor_time_per_chunk=config.xor_time_per_chunk,
         parallel_chain_reads=config.parallel_chain_reads,
         datapath=datapath,
-        backend=backend,
     )
 
     per_worker_blocks = config.cache_blocks_per_worker
@@ -115,10 +159,7 @@ def run_timed_replay(
             policy = policy_factory(per_worker_blocks)
         else:
             policy = make_policy(config.policy, per_worker_blocks, **config.policy_kwargs)
-        cache = TimedBufferCache(
-            env, policy, array, hit_time=config.hit_time, sanitize=config.sanitize,
-            response_histogram=response_histogram,
-        )
+        cache = make_cache(env, policy, array, config, response_histogram)
         caches.append(cache)
         mine = events[w::workers]  # SOR round-robin stripe assignment
         procs.append(

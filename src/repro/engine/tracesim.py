@@ -9,9 +9,9 @@ timing metrics (Figures 10 and 11).
 This is the single implementation behind every code: the
 :class:`~repro.engine.backend.CodeBackend` supplies plans and events,
 the replay supplies SOR worker partitioning, plan memoization, hint
-models, the sanitizer hook and the result row.  The legacy per-world
-entry points (``repro.sim.simulate_cache_trace``) are thin adapters over
-:func:`simulate_trace`; ``repro.lrc.tracesim`` is gone.
+models, the sanitizer hook and the result row.  The per-world replays
+(``repro.lrc.tracesim``, ``repro.sim.tracesim``) are gone: XOR callers
+pass an :class:`~repro.engine.backends.XORBackend`.
 
 Worker partitioning matches the paper's SOR extension: events are dealt
 round-robin to ``workers`` policies, each sized ``capacity // workers``.

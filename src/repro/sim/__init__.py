@@ -4,14 +4,19 @@
 * :mod:`repro.sim.disk` / :mod:`repro.sim.array` — disks and the array.
 * :mod:`repro.sim.cache_sim` — the timed buffer cache.
 * :mod:`repro.sim.controller` — the RAID controller's recovery logic.
-* :mod:`repro.sim.reconstruction` — serial/SOR batch reconstruction.
+* :mod:`repro.sim.reconstruction` — the run's config and report, and
+  the disk bank a config describes.
 * :mod:`repro.sim.topology` — racks, nodes, links: the cluster resource
   model (the single-controller world is its degenerate one-node case).
-* :mod:`repro.sim.tracesim` — fast untimed cache-trace replay.
 
-The cross-rack recovery *scenario* lives one layer up in
-:mod:`repro.sim.cluster` (it drives the engine's timed replay, so it
-cannot live at this layer without an upward import).
+The timed run is built one layer up, in
+:func:`repro.engine.timed.run_timed_replay`; the untimed trace replay is
+:func:`repro.engine.simulate_trace`.  The recovery *scenarios* —
+:mod:`repro.sim.cluster` (cross-rack), :mod:`repro.sim.dor`
+(disk-oriented), :mod:`repro.sim.online` (foreground I/O during
+recovery) and :mod:`repro.sim.rebuild` (whole-disk rebuild) — drive the
+engine, so they sit in the engine's layer and are imported by submodule,
+not re-exported here.
 """
 
 from .array import ArrayGeometry, DiskArray, FlatGeometry
@@ -37,20 +42,11 @@ from .kernel import (
     Timeout,
 )
 from .datapath import PayloadOracle, VerifyingDataPath
-from .dor import run_reconstruction_dor
-from .online import OnlineReport, run_online_recovery
-from .rebuild import (
-    RebuildSavings,
-    rebuild_errors,
-    rebuild_read_savings,
-    run_disk_rebuild,
-)
 from .reconstruction import (
     ClusterStats,
     ReconstructionReport,
     SimConfig,
     build_array,
-    run_reconstruction,
 )
 from .scheduling import (
     FCFSScheduler,
@@ -72,7 +68,6 @@ from .topology import (
     build_topology,
     single_node_topology,
 )
-from .tracesim import PlanCache, TraceSimResult, simulate_cache_trace
 
 __all__ = [
     "ArrayGeometry",
@@ -101,7 +96,6 @@ __all__ = [
     "ReconstructionReport",
     "SimConfig",
     "build_array",
-    "run_reconstruction",
     "ClusterTopology",
     "FaultInjector",
     "HeartbeatMonitor",
@@ -113,13 +107,6 @@ __all__ = [
     "TopologySpec",
     "build_topology",
     "single_node_topology",
-    "run_reconstruction_dor",
-    "OnlineReport",
-    "run_online_recovery",
-    "RebuildSavings",
-    "rebuild_errors",
-    "rebuild_read_savings",
-    "run_disk_rebuild",
     "PayloadOracle",
     "VerifyingDataPath",
     "FCFSScheduler",
@@ -127,7 +114,4 @@ __all__ = [
     "ScanScheduler",
     "ScheduledDisk",
     "make_scheduler",
-    "PlanCache",
-    "TraceSimResult",
-    "simulate_cache_trace",
 ]

@@ -34,6 +34,8 @@ from typing import Generator
 
 from ..codes import make_code
 from ..core.scheme import SchemeMode
+from ..engine.backends import XORBackend
+from ..engine.timed import run_timed_replay
 from ..obs import runtime as _obs
 from ..obs.metrics import Histogram
 from ..utils import parse_size
@@ -156,9 +158,6 @@ def _damaged_cells(error: PartialStripeError) -> list[tuple[int, int]]:
 
 def _run_ec(spec: ClusterSpec) -> ClusterReport:
     """EC recovery: the paper's cached reconstruction over the topology."""
-    from ..engine.backends import XORBackend
-    from ..engine.timed import run_timed_replay
-
     layout = make_code(spec.code, spec.p)
     config = SimConfig(
         policy=spec.policy,

@@ -11,28 +11,28 @@ For each event the controller (paper Figure 4):
 3. charges XOR/decode computation time and writes the recovered chunk to
    the failed disk's spare area.
 
-Recovery plans are memoized by the backend's plan key — the paper notes
-priorities "can be enumerated once a same format of partial stripe error
-is detected again, and no more calculation is required".  Constructed
-without an explicit backend, the controller builds an
-:class:`~repro.engine.backends.XORBackend` from the array's layout — the
-original XOR-world behaviour.
+Recovery plans come from the engine's
+:class:`~repro.engine.tracesim.PlanCache`, memoized by the backend's plan
+key — the paper notes priorities "can be enumerated once a same format of
+partial stripe error is detected again, and no more calculation is
+required".  The controller only consumes plans: whoever builds the timed
+run (:mod:`repro.engine.timed`) hands it the plan cache.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Generator
+from typing import TYPE_CHECKING, Any, Generator
 
-from ..core.scheme import SchemeMode
-from ..engine.backend import CodeBackend, EnginePlan
-from ..engine.backends import XORBackend
-from ..engine.tracesim import PlanCache
 from .array import DiskArray
 from .cache_sim import TimedBufferCache
 from .datapath import VerifyingDataPath
 from .kernel import Environment
+
+if TYPE_CHECKING:  # annotation-only: the engine sits a layer above sim
+    from ..engine.backend import EnginePlan
+    from ..engine.tracesim import PlanCache
 
 __all__ = ["OverheadLog", "RAIDController"]
 
@@ -60,31 +60,29 @@ class RAIDController:
         self,
         env: Environment,
         array: DiskArray,
-        scheme_mode: SchemeMode = "fbf",
+        plans: PlanCache,
+        *,
         xor_time_per_chunk: float = 1e-5,
         parallel_chain_reads: bool = True,
         datapath: VerifyingDataPath | None = None,
-        backend: CodeBackend | None = None,
     ):
         if xor_time_per_chunk < 0:
             raise ValueError(f"xor_time_per_chunk must be >= 0, got {xor_time_per_chunk}")
-        if backend is None:
-            backend = XORBackend(array.geometry.layout, scheme_mode)
         self.env = env
         self.array = array
-        self.backend = backend
-        self.scheme_mode: str = backend.scheme_label
+        self.backend = plans.backend
+        self.scheme_mode: str = self.backend.scheme_label
         self.xor_time_per_chunk = xor_time_per_chunk
         self.parallel_chain_reads = parallel_chain_reads
         self.datapath = datapath
         self.overhead = OverheadLog()
-        self._plan_cache = PlanCache(backend)
+        self._plan_cache = plans
         self.errors_recovered = 0
         self.chunks_recovered = 0
 
     def plan_for(self, error: Any) -> EnginePlan:
-        """The recovery plan for an event, via the engine's shared
-        :class:`~repro.engine.tracesim.PlanCache`; misses are timed."""
+        """The recovery plan for an event, via the plan cache; misses are
+        timed."""
         plans = self._plan_cache
         size_before = len(plans)
         t0 = time.perf_counter()

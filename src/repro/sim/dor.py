@@ -2,7 +2,7 @@
 
 The paper (§III-B, after Holland & Gibson) contrasts two parallel
 reconstruction organizations: SOR (stripe-oriented — workers own stripes;
-:func:`repro.sim.run_reconstruction`) and DOR (disk-oriented — one
+:func:`repro.engine.timed.run_timed_replay`) and DOR (disk-oriented — one
 process per surviving disk streams *all* the reads that disk owes the
 recovery, while per-chunk XOR/write completions are driven by barriers).
 
@@ -16,7 +16,9 @@ DOR properties this model reproduces:
 * spare writes contend with reads in the failed disk's queue.
 
 The buffer cache is *shared* under DOR (one controller-side cache rather
-than SOR's per-worker partitions).
+than SOR's per-worker partitions).  The module drives the engine's plan
+cache and timed-run helpers, so it sits in the engine's layer of the
+import DAG.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from typing import Sequence
 
 from ..cache.registry import make_policy
 from ..codes.layout import CodeLayout
-from .array import ArrayGeometry
-from .cache_sim import TimedBufferCache
+from ..engine.backends import XORBackend
+from ..engine.timed import make_cache, make_environment
+from ..engine.tracesim import PlanCache
 from .controller import RAIDController
-from .datapath import PayloadOracle, VerifyingDataPath
-from .kernel import Environment, Event
+from .kernel import Event
 from .reconstruction import ReconstructionReport, SimConfig, build_array
 
 __all__ = ["run_reconstruction_dor"]
@@ -43,27 +45,30 @@ def run_reconstruction_dor(
     """Simulate DOR recovery of ``errors``; same report type as SOR.
 
     ``config.workers`` is ignored (parallelism is one process per disk);
-    the whole ``cache_size`` backs one shared cache.
+    the whole ``cache_size`` backs one shared cache.  DOR is modelled on
+    a single controller, so a ``config.topology`` raises ``ValueError``.
     """
     if not errors:
         raise ValueError("no errors to recover")
+    if config.topology is not None:
+        raise ValueError("DOR does not model a cluster topology")
     errors = sorted(errors)
-    env = Environment()
-    geometry = ArrayGeometry(
-        layout=layout, chunk_size=config.chunk_bytes, stripes=config.array_stripes
+    backend = XORBackend(layout, config.scheme_mode)
+    env = make_environment(config)
+    geometry = backend.make_geometry(
+        chunk_size=config.chunk_bytes, stripes=config.array_stripes
     )
     array = build_array(env, geometry, config)
     datapath = None
     if config.verify_payloads:
-        datapath = VerifyingDataPath(
-            PayloadOracle(layout, payload_size=config.payload_size,
-                          seed=config.payload_seed)
+        datapath = backend.make_datapath(
+            payload_size=config.payload_size, seed=config.payload_seed
         )
-    controller = RAIDController(env, array, scheme_mode=config.scheme_mode,
+    controller = RAIDController(env, array, PlanCache(backend),
                                 xor_time_per_chunk=config.xor_time_per_chunk)
     policy = make_policy(config.policy, config.cache_blocks_total,
                          **config.policy_kwargs)
-    cache = TimedBufferCache(env, policy, array, hit_time=config.hit_time)
+    cache = make_cache(env, policy, array, config)
 
     # ---- task graph -------------------------------------------------------
     # per-disk ordered read queues; per-assignment completion barriers.

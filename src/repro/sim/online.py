@@ -12,7 +12,8 @@ real traffic.
 Cache interplay (the FBF-relevant part): background recovery, degraded
 reads, and normal foreground reads all share one buffer cache, so the
 replacement policy decides whether recovery's shared chunks survive the
-foreground churn.
+foreground churn.  The module drives the engine's plan cache and
+timed-run helpers, so it sits in the engine's layer of the import DAG.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ if TYPE_CHECKING:  # annotation-only: sim stays level with workloads' consumers
 
 from ..cache.registry import make_policy
 from ..codes.layout import CodeLayout, Direction
-from .array import ArrayGeometry
-from .cache_sim import TimedBufferCache
+from ..engine.backends import XORBackend
+from ..engine.timed import make_cache, make_environment
+from ..engine.tracesim import PlanCache
 from .controller import RAIDController
-from .kernel import Environment, Resource, Store
+from .kernel import Resource, Store
 from .reconstruction import SimConfig, build_array
 
 __all__ = ["OnlineReport", "run_online_recovery"]
@@ -108,6 +110,9 @@ def run_online_recovery(
       (``scrub_scan_time`` seconds per stripe over a ``scrub_cycle``-stripe
       region), or earlier if a foreground read trips over the failed
       chunk.  Detection latency per error is recorded.
+
+    Online recovery is modelled on a single controller, so a
+    ``config.topology`` raises ``ValueError``.
     """
     if detection not in ("immediate", "scrub"):
         raise ValueError(f"detection must be 'immediate' or 'scrub', got {detection!r}")
@@ -115,21 +120,23 @@ def run_online_recovery(
         raise ValueError("scrub_scan_time must be > 0 and scrub_cycle >= 1")
     if not errors:
         raise ValueError("no errors given")
+    if config.topology is not None:
+        raise ValueError("online recovery does not model a cluster topology")
     errors = sorted(errors)
     app_requests = sorted(app_requests)
-    env = Environment()
-    geometry = ArrayGeometry(
-        layout=layout, chunk_size=config.chunk_bytes, stripes=config.array_stripes
+    backend = XORBackend(layout, config.scheme_mode)
+    env = make_environment(config)
+    geometry = backend.make_geometry(
+        chunk_size=config.chunk_bytes, stripes=config.array_stripes
     )
     array = build_array(env, geometry, config)
     controller = RAIDController(
-        env, array,
-        scheme_mode=config.scheme_mode,
+        env, array, PlanCache(backend),
         xor_time_per_chunk=config.xor_time_per_chunk,
         parallel_chain_reads=config.parallel_chain_reads,
     )
     policy = make_policy(config.policy, config.cache_blocks_total, **config.policy_kwargs)
-    cache = TimedBufferCache(env, policy, array, hit_time=config.hit_time)
+    cache = make_cache(env, policy, array, config)
 
     failed_now: set[tuple[int, tuple[int, int]]] = set()
     jobs: Store = Store(env)

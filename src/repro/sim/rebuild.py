@@ -7,9 +7,10 @@ to ~25% for RDP; our ``greedy`` scheme generalizes that idea to the 3DFT
 codes, and this module measures it: rebuild all stripes of a failed disk
 under any scheme/policy and report total reads and time.
 
-This reuses :func:`repro.sim.run_reconstruction` with synthetic
+This reuses :func:`repro.engine.timed.run_timed_replay` with synthetic
 full-column errors, so caching, SOR parallelism, and the disk models all
-apply unchanged.
+apply unchanged.  Like :mod:`repro.sim.cluster`, the module drives the
+engine, so it sits in the engine's layer of the import DAG.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from dataclasses import dataclass, replace
 
 from ..codes.layout import CodeLayout
 from ..core.scheme import generate_plan
+from ..engine.backends import XORBackend
+from ..engine.timed import run_timed_replay
 from ..workloads.errors import PartialStripeError
-from .reconstruction import ReconstructionReport, SimConfig, run_reconstruction
+from .reconstruction import ReconstructionReport, SimConfig
 from .topology import TopologySpec
 
 __all__ = ["RebuildSavings", "rebuild_errors", "run_disk_rebuild", "rebuild_read_savings"]
@@ -61,7 +64,7 @@ def run_disk_rebuild(
     if topology is not None:
         config = replace(config, topology=topology)
     errors = rebuild_errors(layout, failed_disk, stripes)
-    return run_reconstruction(layout, errors, config)
+    return run_timed_replay(XORBackend(layout, config.scheme_mode), errors, config)
 
 
 @dataclass(frozen=True)

@@ -1,37 +1,26 @@
-"""Serial and SOR-parallel reconstruction of partial stripe error batches.
+"""The data of one timed reconstruction run: its config and its report.
 
-The paper extends Stripe-Oriented Reconstruction (SOR) to partial stripe
-recovery: multiple worker processes each repair a subset of the failed
-stripes, and "each process is allocated with a small part of cache" — so
-the total buffer cache is partitioned evenly across workers.  Workers
-contend for the shared disks, which the event kernel resolves through the
-per-disk FIFO queues.
-
-:func:`run_reconstruction` is the main entry point: it assembles the whole
-stack (array, per-worker caches, controller, workers), runs the event loop
-to completion, and returns a :class:`ReconstructionReport`.
+:class:`SimConfig` holds every knob, :class:`ReconstructionReport` every
+number the paper's figures read off a run, and :func:`build_array`
+assembles the disk bank a config describes.  The run itself is built in
+:func:`repro.engine.timed.run_timed_replay`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Generator, Sequence
+from typing import TYPE_CHECKING
 
-from ..cache.base import CachePolicy
-from ..codes.layout import CodeLayout
 from ..core.scheme import SchemeMode
 from ..utils import parse_size
 from .array import ArrayGeometry, DiskArray, FlatGeometry
-from .cache_sim import TimedBufferCache
-from .controller import RAIDController
 from .disk import FixedLatencyModel
 from .kernel import Environment
 
-if TYPE_CHECKING:  # annotation-only: sim stays level with workloads' consumers
-    from ..workloads.errors import PartialStripeError
+if TYPE_CHECKING:  # annotation-only
     from .topology import TopologySpec
 
-__all__ = ["SimConfig", "ClusterStats", "ReconstructionReport", "run_reconstruction"]
+__all__ = ["SimConfig", "ClusterStats", "ReconstructionReport", "build_array"]
 
 
 @dataclass(frozen=True)
@@ -249,47 +238,3 @@ def build_array(
         ),
         topology=topology, home_node=home,
     )
-
-
-def _worker(
-    env: Environment,
-    controller: RAIDController,
-    cache: TimedBufferCache,
-    errors: Sequence[PartialStripeError],
-    respect_arrival_times: bool,
-) -> Generator:
-    recover = controller.recover_error
-    if not respect_arrival_times:
-        # Batch mode repairs back-to-back: no arrival check per error.
-        for error in errors:
-            yield from recover(error, cache)
-        return
-    timeout = env.timeout
-    for error in errors:
-        # Only wait for arrivals still in the future — an arrival time at
-        # or before ``now`` must not cost a redundant zero-delay event.
-        delay = error.time - env.now
-        if delay > 0:
-            yield timeout(delay)
-        yield from recover(error, cache)
-
-
-def run_reconstruction(
-    layout: CodeLayout,
-    errors: Sequence[PartialStripeError],
-    config: SimConfig = SimConfig(),
-    policy_factory: Callable[[int], CachePolicy] | None = None,
-) -> ReconstructionReport:
-    """Simulate recovery of ``errors`` on ``layout`` under ``config``.
-
-    XOR-world convenience wrapper: builds an :class:`~repro.engine.
-    backends.XORBackend` from ``(layout, config.scheme_mode)`` and runs
-    the unified :func:`repro.engine.timed.run_timed_replay`.
-    ``policy_factory`` overrides the registry lookup (useful for custom
-    policies); it receives the per-worker capacity in blocks.
-    """
-    from ..engine.backends import XORBackend
-    from ..engine.timed import run_timed_replay
-
-    backend = XORBackend(layout, config.scheme_mode)
-    return run_timed_replay(backend, errors, config, policy_factory)

@@ -65,7 +65,7 @@ class TestCachedRepair:
     def test_repair_disk_reads_match_trace_sim(self, tip7):
         """The functional cached repair and the untimed trace simulator
         count exactly the same disk reads for the same plan and policy."""
-        from repro.sim import simulate_cache_trace
+        from repro.engine import XORBackend, simulate_trace
         from repro.workloads import PartialStripeError
 
         error = PartialStripeError(time=0, stripe=0, disk=0, start_row=0, length=5)
@@ -76,8 +76,8 @@ class TestCachedRepair:
         cached = CachedRAIDArray(array, FBFCache(8))
         cached.repair_partial_stripe(0, mode="fbf")
 
-        sim = simulate_cache_trace(
-            tip7, [error], policy="fbf", capacity_blocks=8, workers=1
+        sim = simulate_trace(
+            XORBackend(tip7), [error], policy="fbf", capacity_blocks=8, workers=1
         )
         assert cached.disk_reads == sim.disk_reads
         assert cached.policy.stats.hits == sim.hits

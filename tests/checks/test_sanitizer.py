@@ -16,8 +16,8 @@ from repro.cache.registry import available_policies, make_policy
 from repro.checks import InvariantViolation, SanitizedEnvironment, SimSanitizer
 from repro.codes.registry import available_codes, make_code
 from repro.core.fbf_cache import FBFCache
-from repro.sim import SimConfig, run_reconstruction
-from repro.sim.tracesim import simulate_cache_trace
+from repro.engine import XORBackend, run_timed_replay, simulate_trace
+from repro.sim import SimConfig
 from repro.workloads import ErrorTraceConfig, generate_errors
 
 
@@ -28,9 +28,9 @@ class TestSanitizedSimulations:
     def test_event_simulation_clean(self, code):
         layout = make_code(code, 7)
         errors = generate_errors(layout, ErrorTraceConfig(n_errors=30, seed=11))
-        plain = run_reconstruction(layout, errors, SimConfig(workers=4))
-        checked = run_reconstruction(
-            layout, errors, SimConfig(workers=4, sanitize=True)
+        plain = run_timed_replay(XORBackend(layout), errors, SimConfig(workers=4))
+        checked = run_timed_replay(
+            XORBackend(layout), errors, SimConfig(workers=4, sanitize=True)
         )
         # The sanitizer must observe, never perturb.
         assert checked.hit_ratio == plain.hit_ratio
@@ -41,11 +41,11 @@ class TestSanitizedSimulations:
     def test_trace_simulation_clean(self, code):
         layout = make_code(code, 7)
         errors = generate_errors(layout, ErrorTraceConfig(n_errors=50, seed=5))
-        plain = simulate_cache_trace(
-            layout, errors, policy="fbf", capacity_blocks=48, workers=3
+        plain = simulate_trace(
+            XORBackend(layout), errors, policy="fbf", capacity_blocks=48, workers=3
         )
-        checked = simulate_cache_trace(
-            layout, errors, policy="fbf", capacity_blocks=48, workers=3,
+        checked = simulate_trace(
+            XORBackend(layout), errors, policy="fbf", capacity_blocks=48, workers=3,
             sanitize=True,
         )
         assert checked.hits == plain.hits
@@ -55,8 +55,8 @@ class TestSanitizedSimulations:
     def test_generic_checks_pass_for_every_policy(self, policy):
         layout = make_code("tip", 5)
         errors = generate_errors(layout, ErrorTraceConfig(n_errors=25, seed=2))
-        result = simulate_cache_trace(
-            layout, errors, policy=policy, capacity_blocks=16, workers=2,
+        result = simulate_trace(
+            XORBackend(layout), errors, policy=policy, capacity_blocks=16, workers=2,
             sanitize=True,
         )
         assert result.requests > 0
@@ -219,8 +219,8 @@ class TestSanitizedEnvironment:
     def test_full_reconstruction_under_sanitized_env(self):
         layout = make_code("star", 5)
         errors = generate_errors(layout, ErrorTraceConfig(n_errors=15, seed=9))
-        report = run_reconstruction(
-            layout, errors, SimConfig(workers=3, sanitize=True)
+        report = run_timed_replay(
+            XORBackend(layout), errors, SimConfig(workers=3, sanitize=True)
         )
         assert report.chunks_recovered > 0
 

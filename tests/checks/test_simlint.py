@@ -461,7 +461,7 @@ class TestEngineScopes:
 
 
 class TestLegacyReplayImport:
-    """ENG001: the deleted repro.lrc.tracesim world must stay deleted."""
+    """ENG001: the deleted repro.lrc/sim.tracesim world must stay deleted."""
 
     def test_absolute_module_import_flagged(self):
         violations = lint_snippet(
@@ -504,11 +504,28 @@ class TestLegacyReplayImport:
         )
         assert violations == []
 
-    def test_sim_tracesim_adapter_allowed(self):
-        """repro.sim.tracesim survives as a thin engine adapter."""
+    @pytest.mark.parametrize(
+        "source, path",
+        [
+            ("import repro.sim.tracesim\n", "src/repro/bench/broken.py"),
+            ("from repro.sim.tracesim import PlanCache\n", "src/repro/bench/broken.py"),
+            ("from ..sim.tracesim import PlanCache\n", "src/repro/bench/broken.py"),
+            ("from .tracesim import PlanCache\n", "src/repro/sim/__init__.py"),
+            ("from repro.sim import SimConfig, simulate_cache_trace\n", "src/repro/cli.py"),
+            ("from repro import simulate_cache_trace\n", "examples/broken.py"),
+        ],
+        ids=["import", "from-module", "relative", "inside-sim", "via-sim", "via-root"],
+    )
+    def test_sim_tracesim_flagged(self, source, path):
+        """The XOR-world adapter repro.sim.tracesim is deleted too."""
+        violations = lint_snippet(source, path)
+        assert [v.rule_id for v in violations] == ["ENG001"]
+
+    def test_surviving_sim_imports_allowed(self):
         violations = lint_snippet(
-            "from repro.sim.tracesim import simulate_cache_trace\n",
-            "src/repro/bench/broken.py",
+            "from repro.sim import SimConfig, build_array\n"
+            "from .tracesim import PlanCache\n",
+            "src/repro/engine/broken.py",
         )
         assert violations == []
 

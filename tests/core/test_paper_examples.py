@@ -101,16 +101,16 @@ class TestHeadlineClaim:
         """The abstract's claim, at one representative configuration."""
         from repro.cache import PAPER_BASELINES, make_policy
         from repro.workloads import ErrorTraceConfig, generate_errors
-        from repro.sim import simulate_cache_trace
+        from repro.engine import XORBackend, simulate_trace
 
         layout = make_code("tip", 7)
         errors = generate_errors(layout, ErrorTraceConfig(n_errors=40, seed=3))
-        fbf = simulate_cache_trace(
-            layout, errors, policy="fbf", capacity_blocks=48, workers=8
+        fbf = simulate_trace(
+            XORBackend(layout), errors, policy="fbf", capacity_blocks=48, workers=8
         )
         for baseline in PAPER_BASELINES:
-            base = simulate_cache_trace(
-                layout, errors, policy=baseline, capacity_blocks=48, workers=8
+            base = simulate_trace(
+                XORBackend(layout), errors, policy=baseline, capacity_blocks=48, workers=8
             )
             assert fbf.hit_ratio >= base.hit_ratio, baseline
             assert fbf.disk_reads <= base.disk_reads, baseline

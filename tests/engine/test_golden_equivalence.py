@@ -3,7 +3,8 @@
 ``golden_rows.json`` was captured from the PRE-unification replay
 implementations (``repro.sim.tracesim.simulate_cache_trace``,
 ``repro.lrc.tracesim.simulate_lrc_trace``, ``repro.sim.reconstruction.
-run_reconstruction``) before any engine code existed.  The unified
+run_reconstruction``, all since deleted) before any engine code
+existed.  The unified
 engine must reproduce every row bit-for-bit: hit counts, request counts,
 disk reads — for all four XOR 3DFT codes and the LRC — and the timed
 replay's simulated clocks.  Regenerating the fixture from current code
@@ -15,9 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import PlanCache, make_backend, simulate_trace
+from repro.engine import PlanCache, XORBackend, make_backend, run_timed_replay, simulate_trace
 from repro.lrc import LRCCode, LRCWorkloadConfig, generate_lrc_failures
-from repro.sim.reconstruction import SimConfig, run_reconstruction
+from repro.sim.reconstruction import SimConfig
 from repro.workloads import ErrorTraceConfig, generate_errors
 from repro.codes import make_code
 
@@ -112,8 +113,8 @@ class TestDESGolden:
         row = GOLDEN[variant]
         layout = make_code(row["code"], row["p"])
         errors = generate_errors(layout, ErrorTraceConfig(n_errors=12, seed=42))
-        rep = run_reconstruction(
-            layout,
+        rep = run_timed_replay(
+            XORBackend(layout),
             errors,
             SimConfig(
                 policy=row["policy"],

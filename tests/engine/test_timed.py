@@ -2,26 +2,11 @@
 
 import pytest
 
-from repro.codes import make_code
 from repro.engine import make_backend, run_timed_replay
-from repro.sim import SimConfig, run_reconstruction
-from repro.workloads import ErrorTraceConfig, generate_errors
+from repro.sim import SimConfig
 
 
 class TestXORTimedReplay:
-    def test_wrapper_equivalence(self):
-        """run_reconstruction is a thin shim: same simulated clocks."""
-        layout = make_code("tip", 5)
-        errors = generate_errors(layout, ErrorTraceConfig(n_errors=8, seed=3))
-        config = SimConfig(cache_size="512KB", workers=4)
-        via_wrapper = run_reconstruction(layout, errors, config)
-        via_engine = run_timed_replay(make_backend("tip", 5), errors, config)
-        assert via_engine.cache_hits == via_wrapper.cache_hits
-        assert via_engine.disk_reads == via_wrapper.disk_reads
-        assert via_engine.reconstruction_time == via_wrapper.reconstruction_time
-        assert via_engine.avg_response_time == via_wrapper.avg_response_time
-        assert via_engine.code == layout.name
-
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError, match="no events"):
             run_timed_replay(make_backend("tip", 5), [])

@@ -12,12 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codes import make_code
-from repro.sim import (
-    SimConfig,
-    run_reconstruction,
-    run_reconstruction_dor,
-    simulate_cache_trace,
-)
+from repro.engine import XORBackend, run_timed_replay, simulate_trace
+from repro.sim import SimConfig
+from repro.sim.dor import run_reconstruction_dor
 from repro.workloads import ErrorTraceConfig, generate_errors
 
 LAYOUTS = {p: make_code("tip", p) for p in (5, 7)}
@@ -36,10 +33,10 @@ def traces(draw):
 @settings(max_examples=25, deadline=None)
 def test_structural_quantities_agree(trace, capacity):
     layout, errors = trace
-    fast = simulate_cache_trace(layout, errors, policy="fbf",
-                                capacity_blocks=capacity, workers=1)
-    sor = run_reconstruction(
-        layout, errors,
+    fast = simulate_trace(XORBackend(layout), errors, policy="fbf",
+                          capacity_blocks=capacity, workers=1)
+    sor = run_timed_replay(
+        XORBackend(layout), errors,
         SimConfig(policy="fbf", cache_size=capacity * 32 * 1024, workers=1,
                   parallel_chain_reads=False),
     )
@@ -60,10 +57,10 @@ def test_infinite_cache_equalizes_all_engines(trace):
     three engines agree exactly."""
     layout, errors = trace
     cap = 10**6
-    fast = simulate_cache_trace(layout, errors, policy="lru",
-                                capacity_blocks=cap, workers=1)
-    sor = run_reconstruction(
-        layout, errors,
+    fast = simulate_trace(XORBackend(layout), errors, policy="lru",
+                          capacity_blocks=cap, workers=1)
+    sor = run_timed_replay(
+        XORBackend(layout), errors,
         SimConfig(policy="lru", cache_size=cap * 32 * 1024, workers=1),
     )
     dor = run_reconstruction_dor(
@@ -78,8 +75,8 @@ def test_dor_never_slower_than_serial(trace):
     layout, errors = trace
     cfg = dict(policy="fbf", cache_size="2MB")
     dor = run_reconstruction_dor(layout, errors, SimConfig(**cfg))
-    serial = run_reconstruction(
-        layout, errors,
+    serial = run_timed_replay(
+        XORBackend(layout), errors,
         SimConfig(workers=1, parallel_chain_reads=False, **cfg),
     )
     assert dor.reconstruction_time <= serial.reconstruction_time + 1e-9

@@ -12,7 +12,8 @@ import pytest
 from repro.cache import make_policy
 from repro.codes import Encoder, make_code, xor_cells
 from repro.core import FBFCache, PriorityDictionary, generate_plan
-from repro.sim import SimConfig, run_reconstruction, simulate_cache_trace
+from repro.engine import XORBackend, run_timed_replay, simulate_trace
+from repro.sim import SimConfig
 from repro.workloads import (
     ErrorTraceConfig,
     generate_errors,
@@ -52,8 +53,8 @@ class TestTraceToSimulationPipeline:
         path = tmp_path / "trace.txt"
         write_trace(path, errors)
         replayed = read_trace(path)
-        a = simulate_cache_trace(tip7, errors, policy="fbf", capacity_blocks=32)
-        b = simulate_cache_trace(tip7, replayed, policy="fbf", capacity_blocks=32)
+        a = simulate_trace(XORBackend(tip7), errors, policy="fbf", capacity_blocks=32)
+        b = simulate_trace(XORBackend(tip7), replayed, policy="fbf", capacity_blocks=32)
         assert (a.hits, a.disk_reads) == (b.hits, b.disk_reads)
 
 
@@ -63,7 +64,7 @@ class TestCrossPolicyAccounting:
         change the hit/miss split."""
         errors = generate_errors(tip7, ErrorTraceConfig(n_errors=25, seed=8))
         results = [
-            simulate_cache_trace(tip7, errors, policy=p, capacity_blocks=40)
+            simulate_trace(XORBackend(tip7), errors, policy=p, capacity_blocks=40)
             for p in ("fifo", "lru", "lfu", "arc", "fbf")
         ]
         assert len({r.requests for r in results}) == 1
@@ -74,8 +75,8 @@ class TestCrossPolicyAccounting:
         can re-phase disk queueing and shift the critical path by a
         request or two, so a small tolerance is allowed.)"""
         errors = generate_errors(tip7, ErrorTraceConfig(n_errors=15, seed=5))
-        tight = run_reconstruction(tip7, errors, SimConfig(cache_size="128KB", workers=2))
-        roomy = run_reconstruction(tip7, errors, SimConfig(cache_size="16MB", workers=2))
+        tight = run_timed_replay(XORBackend(tip7), errors, SimConfig(cache_size="128KB", workers=2))
+        roomy = run_timed_replay(XORBackend(tip7), errors, SimConfig(cache_size="16MB", workers=2))
         assert tight.disk_reads >= roomy.disk_reads
         assert tight.reconstruction_time >= roomy.reconstruction_time * 0.97
 
@@ -107,10 +108,12 @@ class TestStarAdjusterPinning:
         star = make_code("star", 7)
         tip = make_code("tip", 7)
         cfg = ErrorTraceConfig(n_errors=40, seed=6)
-        star_res = simulate_cache_trace(
-            star, generate_errors(star, cfg), policy="fbf", capacity_blocks=64, workers=4
+        star_res = simulate_trace(
+            XORBackend(star), generate_errors(star, cfg), policy="fbf",
+            capacity_blocks=64, workers=4,
         )
-        tip_res = simulate_cache_trace(
-            tip, generate_errors(tip, cfg), policy="fbf", capacity_blocks=64, workers=4
+        tip_res = simulate_trace(
+            XORBackend(tip), generate_errors(tip, cfg), policy="fbf",
+            capacity_blocks=64, workers=4,
         )
         assert star_res.hit_ratio > tip_res.hit_ratio

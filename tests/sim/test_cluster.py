@@ -12,7 +12,8 @@ import pytest
 
 from repro.bench import QUICK, cluster_recovery
 from repro.codes import make_code
-from repro.sim import SimConfig, TopologySpec, run_reconstruction
+from repro.engine import XORBackend, run_timed_replay
+from repro.sim import SimConfig, TopologySpec
 from repro.sim.cluster import ClusterSpec, run_cluster_recovery
 from repro.workloads import ErrorTraceConfig, generate_errors
 
@@ -25,9 +26,9 @@ class TestDegenerateEquivalence:
     def test_one_node_topology_reproduces_golden_rows(self):
         layout = make_code("tip", 5)
         errors = _errors(layout)
-        base = run_reconstruction(layout, errors, SimConfig(workers=4))
-        topo = run_reconstruction(
-            layout, errors, SimConfig(workers=4, topology=TopologySpec())
+        base = run_timed_replay(XORBackend(layout), errors, SimConfig(workers=4))
+        topo = run_timed_replay(
+            XORBackend(layout), errors, SimConfig(workers=4, topology=TopologySpec())
         )
         # Bit-identical simulated values; only the cluster snapshot and
         # the wall-clock measured fields may differ (DESIGN §9, §15).
@@ -39,9 +40,9 @@ class TestDegenerateEquivalence:
     def test_quantile_toggle_does_not_perturb_timing(self):
         layout = make_code("tip", 5)
         errors = _errors(layout)
-        base = run_reconstruction(layout, errors, SimConfig(workers=4))
-        quant = run_reconstruction(
-            layout, errors, SimConfig(workers=4, response_quantiles=True)
+        base = run_timed_replay(XORBackend(layout), errors, SimConfig(workers=4))
+        quant = run_timed_replay(
+            XORBackend(layout), errors, SimConfig(workers=4, response_quantiles=True)
         )
         assert (base.simulated_dict(exclude=("p99_response_time",))
                 == quant.simulated_dict(exclude=("p99_response_time",)))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache import LRUCache
+from repro.engine import PlanCache, XORBackend
 from repro.sim.array import ArrayGeometry, DiskArray
 from repro.sim.cache_sim import TimedBufferCache
 from repro.sim.controller import RAIDController
@@ -10,11 +11,15 @@ from repro.sim.kernel import Environment
 from repro.workloads import PartialStripeError
 
 
+def _plans(layout):
+    return PlanCache(XORBackend(layout, "fbf"))
+
+
 @pytest.fixture
 def stack(tip7):
     env = Environment()
     array = DiskArray(env, ArrayGeometry(layout=tip7, stripes=1000))
-    controller = RAIDController(env, array, scheme_mode="fbf")
+    controller = RAIDController(env, array, _plans(tip7))
     cache = TimedBufferCache(env, LRUCache(64), array)
     return env, array, controller, cache
 
@@ -50,10 +55,10 @@ class TestRecovery:
         env.run(env.process(controller.recover_error(_error(length=5), cache)))
         assert array.total_reads == cache.policy.stats.misses == cache.log.disk_reads
 
-    def test_validation(self, stack):
+    def test_validation(self, stack, tip7):
         env, array, _, _ = stack
         with pytest.raises(ValueError):
-            RAIDController(env, array, xor_time_per_chunk=-1)
+            RAIDController(env, array, _plans(tip7), xor_time_per_chunk=-1)
 
 
 class TestPlanMemoization:
@@ -84,7 +89,9 @@ class TestSerialVsParallelReads:
         def run(parallel):
             env = Environment()
             array = DiskArray(env, ArrayGeometry(layout=tip7, stripes=100))
-            controller = RAIDController(env, array, parallel_chain_reads=parallel)
+            controller = RAIDController(
+                env, array, _plans(tip7), parallel_chain_reads=parallel
+            )
             cache = TimedBufferCache(env, LRUCache(64), array)
             env.run(env.process(controller.recover_error(_error(length=3), cache)))
             return env.now
@@ -95,7 +102,9 @@ class TestSerialVsParallelReads:
         def reads(parallel):
             env = Environment()
             array = DiskArray(env, ArrayGeometry(layout=tip7, stripes=100))
-            controller = RAIDController(env, array, parallel_chain_reads=parallel)
+            controller = RAIDController(
+                env, array, _plans(tip7), parallel_chain_reads=parallel
+            )
             cache = TimedBufferCache(env, LRUCache(64), array)
             env.run(env.process(controller.recover_error(_error(length=3), cache)))
             return array.total_reads

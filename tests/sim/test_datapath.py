@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import generate_plan
-from repro.sim import SimConfig, run_reconstruction
+from repro.engine import XORBackend, run_timed_replay
+from repro.sim import SimConfig
 from repro.sim.datapath import PayloadOracle, VerifyingDataPath
 from repro.workloads import ErrorTraceConfig, generate_errors
 
@@ -96,8 +97,8 @@ class TestVerifyingDataPath:
 class TestEndToEndVerification:
     def test_full_reconstruction_verifies_every_chunk(self, tip7):
         errors = generate_errors(tip7, ErrorTraceConfig(n_errors=15, seed=3))
-        rep = run_reconstruction(
-            tip7, errors, SimConfig(workers=4, verify_payloads=True)
+        rep = run_timed_replay(
+            XORBackend(tip7), errors, SimConfig(workers=4, verify_payloads=True)
         )
         assert rep.payload_chunks_verified == rep.chunks_recovered
         assert rep.payload_mismatches == 0
@@ -105,8 +106,8 @@ class TestEndToEndVerification:
     def test_all_codes_all_schemes_verify(self, layout):
         errors = generate_errors(layout, ErrorTraceConfig(n_errors=6, seed=1))
         for scheme in ("typical", "fbf", "greedy"):
-            rep = run_reconstruction(
-                layout,
+            rep = run_timed_replay(
+                XORBackend(layout, scheme),
                 errors,
                 SimConfig(workers=2, verify_payloads=True, scheme_mode=scheme),
             )
@@ -114,5 +115,5 @@ class TestEndToEndVerification:
 
     def test_verification_off_by_default(self, tip7):
         errors = generate_errors(tip7, ErrorTraceConfig(n_errors=5, seed=2))
-        rep = run_reconstruction(tip7, errors, SimConfig(workers=2))
+        rep = run_timed_replay(XORBackend(tip7), errors, SimConfig(workers=2))
         assert rep.payload_chunks_verified == 0

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import SimConfig, run_reconstruction
+from repro.engine import XORBackend, run_timed_replay
+from repro.sim import SimConfig
 from repro.sim.dor import run_reconstruction_dor
 from repro.workloads import ErrorTraceConfig, generate_errors
 
@@ -35,9 +36,9 @@ class TestDOR:
         """DOR's per-disk pipelining beats a single SOR worker."""
         cfg_shared = dict(cache_size="2MB", policy="fbf")
         dor = run_reconstruction_dor(tip7, errors, SimConfig(**cfg_shared))
-        serial = run_reconstruction(
-            tip7, errors, SimConfig(workers=1, parallel_chain_reads=False,
-                                    **cfg_shared)
+        serial = run_timed_replay(
+            XORBackend(tip7), errors,
+            SimConfig(workers=1, parallel_chain_reads=False, **cfg_shared),
         )
         assert dor.reconstruction_time < serial.reconstruction_time
 
@@ -45,7 +46,7 @@ class TestDOR:
         """The recovery scheme fixes the request stream; organizations
         only reorder it."""
         dor = run_reconstruction_dor(tip7, errors, SimConfig(cache_size="2MB"))
-        sor = run_reconstruction(tip7, errors, SimConfig(cache_size="2MB", workers=4))
+        sor = run_timed_replay(XORBackend(tip7), errors, SimConfig(cache_size="2MB", workers=4))
         assert dor.total_requests == sor.total_requests
         assert dor.disk_writes == sor.disk_writes
 
@@ -55,8 +56,8 @@ class TestDOR:
         dor = run_reconstruction_dor(
             tip7, errors, SimConfig(cache_size="1MB", policy="fbf")
         )
-        sor = run_reconstruction(
-            tip7, errors, SimConfig(cache_size="1MB", policy="fbf", workers=16)
+        sor = run_timed_replay(
+            XORBackend(tip7), errors, SimConfig(cache_size="1MB", policy="fbf", workers=16)
         )
         assert dor.cache_hits >= sor.cache_hits
 
@@ -97,15 +98,15 @@ class TestSimConfigDiskKnobs:
             SimConfig(disk_scheduler="magic")
 
     def test_sor_with_hdd_and_sstf(self, tip7, errors):
-        rep = run_reconstruction(
-            tip7, errors,
+        rep = run_timed_replay(
+            XORBackend(tip7), errors,
             SimConfig(workers=4, disk_model="hdd", disk_scheduler="sstf"),
         )
         assert rep.chunks_recovered == sum(e.length for e in errors)
 
     def test_hdd_differs_from_fixed(self, tip7, errors):
-        fixed = run_reconstruction(tip7, errors, SimConfig(workers=4))
-        hdd = run_reconstruction(
-            tip7, errors, SimConfig(workers=4, disk_model="hdd")
+        fixed = run_timed_replay(XORBackend(tip7), errors, SimConfig(workers=4))
+        hdd = run_timed_replay(
+            XORBackend(tip7), errors, SimConfig(workers=4, disk_model="hdd")
         )
         assert fixed.reconstruction_time != hdd.reconstruction_time

@@ -3,12 +3,8 @@
 import pytest
 
 from repro.codes import make_code
-from repro.sim import (
-    SimConfig,
-    rebuild_errors,
-    rebuild_read_savings,
-    run_disk_rebuild,
-)
+from repro.sim import SimConfig
+from repro.sim.rebuild import rebuild_errors, rebuild_read_savings, run_disk_rebuild
 
 
 class TestRebuildErrors:

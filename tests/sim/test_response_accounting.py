@@ -7,7 +7,8 @@ constants (0.5 ms hit, 10 ms disk).
 
 import pytest
 
-from repro.sim import SimConfig, run_reconstruction
+from repro.engine import XORBackend, run_timed_replay
+from repro.sim import SimConfig
 from repro.workloads import PartialStripeError
 
 HIT = 0.0005
@@ -29,7 +30,7 @@ class TestSingleChunkRecovery:
             parallel_chain_reads=False, scheme_mode="typical",
             xor_time_per_chunk=0.0,
         )
-        rep = run_reconstruction(tip7, [_one_chunk_error()], cfg)
+        rep = run_timed_replay(XORBackend(tip7, cfg.scheme_mode), [_one_chunk_error()], cfg)
         n_reads = rep.total_requests
         assert n_reads == 5  # 4 surviving data cells + row parity
         assert rep.reconstruction_time == pytest.approx(n_reads * DISK + DISK)
@@ -43,7 +44,7 @@ class TestSingleChunkRecovery:
             parallel_chain_reads=True, scheme_mode="typical",
             xor_time_per_chunk=0.0,
         )
-        rep = run_reconstruction(tip7, [_one_chunk_error()], cfg)
+        rep = run_timed_replay(XORBackend(tip7, cfg.scheme_mode), [_one_chunk_error()], cfg)
         assert rep.reconstruction_time == pytest.approx(DISK + DISK)
 
     def test_second_identical_error_hits_nothing_across_stripes(self, tip7):
@@ -52,7 +53,7 @@ class TestSingleChunkRecovery:
                         parallel_chain_reads=False, scheme_mode="typical",
                         xor_time_per_chunk=0.0)
         errors = [_one_chunk_error(stripe=0), _one_chunk_error(stripe=1)]
-        rep = run_reconstruction(tip7, errors, cfg)
+        rep = run_timed_replay(XORBackend(tip7, cfg.scheme_mode), errors, cfg)
         assert rep.cache_hits == 0
         assert rep.reconstruction_time == pytest.approx(2 * (5 * DISK + DISK))
 
@@ -66,7 +67,7 @@ class TestHitTiming:
                         xor_time_per_chunk=0.0)
         error = PartialStripeError(time=0.0, stripe=0, disk=0,
                                    start_row=0, length=5)
-        rep = run_reconstruction(tip7, [error], cfg)
+        rep = run_timed_replay(XORBackend(tip7, cfg.scheme_mode), [error], cfg)
         assert rep.cache_hits > 0
         expected = (
             rep.cache_misses * DISK        # cold reads
@@ -83,7 +84,7 @@ class TestHitTiming:
                         parallel_chain_reads=False, scheme_mode="typical",
                         hit_time=0.001, disk_latency=0.02,
                         xor_time_per_chunk=0.0)
-        rep = run_reconstruction(tip7, [_one_chunk_error()], cfg)
+        rep = run_timed_replay(XORBackend(tip7, cfg.scheme_mode), [_one_chunk_error()], cfg)
         assert rep.avg_response_time == pytest.approx(0.02)
         assert rep.reconstruction_time == pytest.approx(5 * 0.02 + 0.02)
 
@@ -94,8 +95,9 @@ class TestHitTiming:
         with_xor = SimConfig(policy="lru", cache_size="64MB", workers=1,
                              parallel_chain_reads=False, scheme_mode="typical",
                              xor_time_per_chunk=0.001)
-        t0 = run_reconstruction(tip7, [_one_chunk_error()], base)
-        t1 = run_reconstruction(tip7, [_one_chunk_error()], with_xor)
+        backend = XORBackend(tip7, base.scheme_mode)
+        t0 = run_timed_replay(backend, [_one_chunk_error()], base)
+        t1 = run_timed_replay(backend, [_one_chunk_error()], with_xor)
         assert t1.reconstruction_time - t0.reconstruction_time == pytest.approx(
             0.001 * 5
         )

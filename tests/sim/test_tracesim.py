@@ -4,8 +4,8 @@ import pytest
 
 from repro.codes import make_code
 from repro.core import PriorityDictionary, generate_plan
-from repro.sim import PlanCache, simulate_cache_trace
-from repro.sim.reconstruction import SimConfig, run_reconstruction
+from repro.engine import PlanCache, XORBackend, run_timed_replay, simulate_trace
+from repro.sim.reconstruction import SimConfig
 from repro.workloads import ErrorTraceConfig, generate_errors
 
 
@@ -16,21 +16,21 @@ def errors(tip7):
 
 class TestPlanCache:
     def test_memoizes_by_shape(self, tip7, errors):
-        pc = PlanCache(tip7, "fbf")
+        pc = PlanCache(XORBackend(tip7, "fbf"))
         a = pc.get(errors[0])
         b = pc.get(errors[0])
         assert a is b
 
     def test_plans_match_direct_generation(self, tip7, errors):
-        pc = PlanCache(tip7, "fbf")
+        pc = PlanCache(XORBackend(tip7, "fbf"))
         for e in errors[:5]:
-            plan, pd = pc.get(e)
+            plan, pd = pc.get(e).source
             direct = generate_plan(tip7, e.cells(tip7), "fbf")
             assert plan.request_sequence == direct.request_sequence
             assert dict(pd) == dict(PriorityDictionary(direct))
 
     def test_stats_counts_hits_misses_entries(self, tip7, errors):
-        pc = PlanCache(tip7, "fbf")
+        pc = PlanCache(XORBackend(tip7, "fbf"))
         assert pc.stats() == {"hits": 0, "misses": 0, "entries": 0}
         pc.get(errors[0])
         pc.get(errors[0])
@@ -41,10 +41,10 @@ class TestPlanCache:
     def test_shared_across_runs_accumulates(self, tip7, errors):
         """One PlanCache serving a whole sweep group: the second replay
         hits every shape the first one planned."""
-        pc = PlanCache(tip7, "fbf")
-        simulate_cache_trace(tip7, errors, policy="lru", capacity_blocks=32, plan_cache=pc)
+        pc = PlanCache(XORBackend(tip7, "fbf"))
+        simulate_trace(pc.backend, errors, policy="lru", capacity_blocks=32, plan_cache=pc)
         planned = pc.stats()["misses"]
-        simulate_cache_trace(tip7, errors, policy="fbf", capacity_blocks=64, plan_cache=pc)
+        simulate_trace(pc.backend, errors, policy="fbf", capacity_blocks=64, plan_cache=pc)
         stats = pc.stats()
         assert stats["misses"] == planned  # no new shapes on the re-run
         assert stats["hits"] >= planned
@@ -57,7 +57,7 @@ class TestPlanCache:
                 seen.add(e.shape)
                 distinct.append(e)
         assert len(distinct) >= 3
-        pc = PlanCache(tip7, "fbf", max_entries=2)
+        pc = PlanCache(XORBackend(tip7, "fbf"), max_entries=2)
         pc.get(distinct[0])
         pc.get(distinct[1])
         pc.get(distinct[2])  # evicts distinct[0] (oldest)
@@ -68,54 +68,53 @@ class TestPlanCache:
 
     def test_max_entries_validation(self, tip7):
         with pytest.raises(ValueError, match="max_entries"):
-            PlanCache(tip7, "fbf", max_entries=0)
+            PlanCache(XORBackend(tip7, "fbf"), max_entries=0)
 
 
 class TestSimulateCacheTrace:
     def test_request_count_matches_plans(self, tip7, errors):
-        pc = PlanCache(tip7, "fbf")
-        expected = sum(pc.get(e)[0].total_requests for e in errors)
-        res = simulate_cache_trace(
-            tip7, errors, policy="lru", capacity_blocks=32, plan_cache=pc
+        pc = PlanCache(XORBackend(tip7, "fbf"))
+        expected = sum(pc.get(e).source[0].total_requests for e in errors)
+        res = simulate_trace(
+            pc.backend, errors, policy="lru", capacity_blocks=32, plan_cache=pc
         )
         assert res.requests == expected
         assert res.hits + res.disk_reads == res.requests
 
     def test_zero_capacity_all_misses(self, tip7, errors):
-        res = simulate_cache_trace(tip7, errors, policy="lru", capacity_blocks=0)
+        res = simulate_trace(XORBackend(tip7), errors, policy="lru", capacity_blocks=0)
         assert res.hits == 0
         assert res.hit_ratio == 0.0
 
     def test_infinite_cache_hits_all_shared_reads(self, tip7, errors):
-        pc = PlanCache(tip7, "fbf")
-        shared = sum(
-            pc.get(e)[0].total_requests - pc.get(e)[0].unique_reads for e in errors
-        )
-        res = simulate_cache_trace(
-            tip7, errors, policy="lru", capacity_blocks=10**6, plan_cache=pc
+        pc = PlanCache(XORBackend(tip7, "fbf"))
+        plans = [pc.get(e).source[0] for e in errors]
+        shared = sum(plan.total_requests - plan.unique_reads for plan in plans)
+        res = simulate_trace(
+            pc.backend, errors, policy="lru", capacity_blocks=10**6, plan_cache=pc
         )
         assert res.hits == shared
 
     def test_validation(self, tip7, errors):
         with pytest.raises(ValueError):
-            simulate_cache_trace(tip7, errors, capacity_blocks=-1)
+            simulate_trace(XORBackend(tip7), errors, capacity_blocks=-1)
         with pytest.raises(ValueError):
-            simulate_cache_trace(tip7, errors, workers=0)
+            simulate_trace(XORBackend(tip7), errors, workers=0)
 
     def test_plan_cache_layout_mismatch_rejected(self, tip7, errors):
         other = make_code("star", 5)
-        pc = PlanCache(other, "fbf")
-        with pytest.raises(ValueError, match="different layout"):
-            simulate_cache_trace(tip7, errors, plan_cache=pc)
+        pc = PlanCache(XORBackend(other, "fbf"))
+        with pytest.raises(ValueError, match="different backend"):
+            simulate_trace(XORBackend(tip7), errors, plan_cache=pc)
 
     def test_worker_partitioning_changes_results(self, tip7, errors):
-        one = simulate_cache_trace(tip7, errors, capacity_blocks=64, workers=1)
-        many = simulate_cache_trace(tip7, errors, capacity_blocks=64, workers=8)
+        one = simulate_trace(XORBackend(tip7), errors, capacity_blocks=64, workers=1)
+        many = simulate_trace(XORBackend(tip7), errors, capacity_blocks=64, workers=8)
         assert one.requests == many.requests  # same streams, split differently
 
     def test_hint_validation(self, tip7, errors):
         with pytest.raises(ValueError, match="hint"):
-            simulate_cache_trace(tip7, errors, hint="frequency")
+            simulate_trace(XORBackend(tip7), errors, hint="frequency")
 
     def test_share_hint_feeds_raw_counts(self, tip7, errors):
         """With hint='share' and n_queues>3, requests land above Queue3
@@ -123,21 +122,20 @@ class TestSimulateCacheTrace:
         two hint modes agree there — but both run cleanly."""
         from repro.core.fbf_cache import FBFCache
 
-        a = simulate_cache_trace(
-            tip7, errors, capacity_blocks=32, hint="priority",
+        a = simulate_trace(
+            XORBackend(tip7), errors, capacity_blocks=32, hint="priority",
             policy_factory=lambda cap: FBFCache(cap, n_queues=5),
         )
-        b = simulate_cache_trace(
-            tip7, errors, capacity_blocks=32, hint="share",
+        b = simulate_trace(
+            XORBackend(tip7), errors, capacity_blocks=32, hint="share",
             policy_factory=lambda cap: FBFCache(cap, n_queues=5),
         )
         assert a.requests == b.requests
 
     def test_typical_scheme_has_zero_hits(self, tip7, errors):
         """All-horizontal recovery shares nothing, so nothing can hit."""
-        res = simulate_cache_trace(
-            tip7, errors, policy="lru", capacity_blocks=64, scheme_mode="typical"
-        )
+        res = simulate_trace(
+            XORBackend(tip7, "typical"), errors, policy="lru", capacity_blocks=64)
         assert res.hits == 0
 
 
@@ -147,11 +145,11 @@ class TestAgreementWithEventSim:
         when chain reads are issued serially (same request order)."""
         capacity = 64
         workers = 4
-        fast = simulate_cache_trace(
-            tip7, errors, policy="fbf", capacity_blocks=capacity, workers=workers
+        fast = simulate_trace(
+            XORBackend(tip7), errors, policy="fbf", capacity_blocks=capacity, workers=workers
         )
-        rep = run_reconstruction(
-            tip7,
+        rep = run_timed_replay(
+            XORBackend(tip7),
             errors,
             SimConfig(
                 policy="fbf",

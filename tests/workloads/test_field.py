@@ -102,10 +102,10 @@ class TestGenerateFieldTrace:
         assert len(stripes) == len(set(stripes))
 
     def test_feeds_simulator(self, tip7):
-        from repro.sim import simulate_cache_trace
+        from repro.engine import XORBackend, simulate_trace
 
         errors = generate_field_trace(tip7, duration_days=30_000, seed=6)
         if errors:
-            res = simulate_cache_trace(tip7, errors, policy="fbf",
-                                       capacity_blocks=32)
+            res = simulate_trace(XORBackend(tip7), errors, policy="fbf",
+                                 capacity_blocks=32)
             assert res.requests > 0

@@ -79,7 +79,7 @@ class TestMapping:
         assert len(errors) == 2
 
     def test_output_feeds_simulator(self, tip7):
-        from repro.sim import simulate_cache_trace
+        from repro.engine import XORBackend, simulate_trace
 
         exts = [
             ByteExtentError(time=float(i), disk=i % tip7.num_disks,
@@ -87,5 +87,5 @@ class TestMapping:
             for i in range(10)
         ]
         errors = extents_to_errors(tip7, exts, chunk_size=CHUNK)
-        res = simulate_cache_trace(tip7, errors, policy="fbf", capacity_blocks=16)
+        res = simulate_trace(XORBackend(tip7), errors, policy="fbf", capacity_blocks=16)
         assert res.requests > 0
