@@ -45,11 +45,7 @@ __all__ = [
     "InternedStream",
     "ReplayConfig",
     "simulate_grid_pass",
-    # vector backend + stack-distance profiles
-    "NUMPY_AVAILABLE",
-    "VECTOR_POLICIES",
-    "VectorFleet",
-    "VectorReplay",
+    # stack-distance profiles
     "StackDistanceProfile",
     "SampledStackDistanceProfile",
     # registries
@@ -105,10 +101,6 @@ _V2_HOMES: dict[str, tuple[str, str | None]] = {
     "InternedStream": (_REPLAY, "InternedStream"),
     "ReplayConfig": (_REPLAY, "ReplayConfig"),
     "simulate_grid_pass": (_REPLAY, "simulate_grid_pass"),
-    "NUMPY_AVAILABLE": (_REPLAY, "NUMPY_AVAILABLE"),
-    "VECTOR_POLICIES": (_REPLAY, "VECTOR_POLICIES"),
-    "VectorFleet": (_REPLAY, "VectorFleet"),
-    "VectorReplay": (_REPLAY, "VectorReplay"),
     "StackDistanceProfile": (_REPLAY, "StackDistanceProfile"),
     "SampledStackDistanceProfile": (_REPLAY, "SampledStackDistanceProfile"),
     "available_codes": (_REPLAY, "available_codes"),

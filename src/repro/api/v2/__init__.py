@@ -5,7 +5,7 @@ namespaces, each with its own API001 manifest so surface drift is
 diffed per-namespace:
 
 * :mod:`repro.api.v2.replay` — backends, registries, single-trace and
-  interned multi-config replay, vector backend, stack distances;
+  interned multi-config replay, stack distances;
 * :mod:`repro.api.v2.bench` — grid execution (:class:`GridRequest`,
   ``run_grid``, :class:`~repro.bench.engine.EnginePool`) and the
   experiment definitions;

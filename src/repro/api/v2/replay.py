@@ -2,8 +2,7 @@
 
 The simulation core of the public surface: backends and their
 registries, the single-trace simulator, the interned-stream grid pass
-(offline and incremental), the vectorized backend, and the
-stack-distance profiles.  The kwarg vocabulary is unchanged from v1:
+(offline and incremental), and the stack-distance profiles.  The kwarg vocabulary is unchanged from v1:
 ``workers=`` is always the *simulated* SOR worker count.
 """
 
@@ -27,12 +26,6 @@ from ...engine.tracesim import (
     effective_partition,
     simulate_trace,
 )
-from ...engine.vector import (
-    NUMPY_AVAILABLE,
-    VECTOR_POLICIES,
-    VectorFleet,
-    VectorReplay,
-)
 
 __all__ = [
     # single-trace replay
@@ -46,11 +39,7 @@ __all__ = [
     "StreamInterner",
     "ReplayConfig",
     "simulate_grid_pass",
-    # vector backend + stack-distance profiles
-    "NUMPY_AVAILABLE",
-    "VECTOR_POLICIES",
-    "VectorFleet",
-    "VectorReplay",
+    # stack-distance profiles
     "StackDistanceProfile",
     "SampledStackDistanceProfile",
     # registries

@@ -64,7 +64,10 @@ __all__ = [
 #: Version salt mixed into every cache key.  Bump it whenever a change to
 #: the simulator, the policies, the codes, or the workload generator can
 #: alter any SweepPoint value — stale rows must never be served.
-ENGINE_CACHE_VERSION = "2"  # v2: GridPoint grew cluster fields (redundancy/limplock)
+# v2: GridPoint grew cluster fields (redundancy/limplock).  v3: one-cell
+# groups used to skip the sampled profile, so v2 "+shards:" rows mix
+# exact and sampled values.
+ENGINE_CACHE_VERSION = "3"
 
 _POINT_KINDS = ("trace", "des", "demotion", "cluster")
 
@@ -117,7 +120,8 @@ class EngineConfig:
     resolves to ``os.cpu_count()``.  ``cache_dir=None`` disables the
     persistent cache.  ``batch=False`` (the CLI's ``--no-batch``)
     disables single-pass group dispatch and computes every cell through
-    the per-point golden path.
+    the per-point golden path, which cannot sample — so it requires
+    ``stackdist="exact"``.
     """
 
     workers: int | str = 0
@@ -129,10 +133,6 @@ class EngineConfig:
     #: replay hit-ratio cells of one (code, p, scheme, trace) group in a
     #: single interned-stream pass (bit-for-bit equal to per-point rows).
     batch: bool = True
-    #: grid-pass replay backend for batched hit-ratio groups: "python"
-    #: (golden per-request loop) or "numpy" (vector fleet, bit-identical
-    #: rows; the CLI's --replay-backend).
-    replay_backend: str = "python"
     #: plain-LRU stack-distance profile flavor: "exact" (Fenwick) or
     #: "sampled" (SHARDS at shards_rate — approximate rows, bounded
     #: error, O(sample) memory; cached under a distinct salt).
@@ -145,11 +145,6 @@ class EngineConfig:
                 raise ValueError(f"workers must be an int >= 0 or 'auto', got {self.workers!r}")
         elif self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.replay_backend not in ("python", "numpy"):
-            raise ValueError(
-                "replay_backend must be 'python' or 'numpy', "
-                f"got {self.replay_backend!r}"
-            )
         if self.stackdist not in ("exact", "sampled"):
             raise ValueError(
                 f"stackdist must be 'exact' or 'sampled', got {self.stackdist!r}"
@@ -158,13 +153,17 @@ class EngineConfig:
             raise ValueError(
                 f"shards_rate must be in (0, 1], got {self.shards_rate}"
             )
+        if self.stackdist == "sampled" and not self.batch:
+            raise ValueError(
+                "stackdist='sampled' needs batch=True: the per-point "
+                "path replays exactly and cannot sample"
+            )
 
     def replay_salt(self, base: str = ENGINE_CACHE_VERSION) -> str:
         """Result-cache salt: sampled rows never share exact rows' keys.
 
-        The numpy backend is bit-identical, so it keeps the base salt;
-        SHARDS estimates are rate-dependent approximations and get their
-        own namespace.
+        SHARDS estimates are rate-dependent approximations, so they get
+        their own namespace; exact rows keep the base salt.
         """
         if self.stackdist == "sampled":
             return f"{base}+shards:{self.shards_rate!r}"
@@ -561,7 +560,6 @@ def _group_key(point: GridPoint) -> tuple:
 
 def compute_group(
     points: "Sequence[GridPoint]",
-    replay_backend: str = "python",
     stackdist: str = "exact",
     shards_rate: float = 0.01,
 ) -> "list[SweepPoint]":
@@ -608,7 +606,6 @@ def compute_group(
         stream=_stream_for(
             first.code, first.p, first.scheme_mode, first.n_errors, first.seed
         ),
-        replay_backend=replay_backend,
         stackdist=stackdist,
         shards_rate=shards_rate,
     )
@@ -654,19 +651,23 @@ def _plan_totals() -> tuple[int, int]:
 
 def _timed_task(
     points: "tuple[GridPoint, ...]",
-    replay: "tuple[str, str, float]" = ("python", "exact", 0.01),
+    replay: "tuple[str, float] | None" = ("exact", 0.01),
 ) -> "tuple[list[tuple[SweepPoint, float]], tuple[int, int]]":
     """Pool entry point for a task: a same-stream group or a singleton.
 
-    Singletons go through the per-point golden path; larger groups take
-    the single-pass replay.  Group compute time is split evenly across
-    the group's cells so per-point timings stay additive.  The second
-    element is this task's plan-cache ``(hits, misses)`` delta — additive
-    across tasks and across pool workers, so the driver can surface the
-    memo's effectiveness without sharing state between processes.
+    ``replay`` is the ``(stackdist, shards_rate)`` pair of a batched run,
+    or None with batching off.  When batching, every hit-ratio task —
+    a one-cell group included — takes the single-pass replay, so a
+    sampled row never depends on which other cells share its grid.
+    Everything else is a singleton on the per-point golden path.  Group
+    compute time is split evenly across the group's cells so per-point
+    timings stay additive.  The second element is this task's plan-cache
+    ``(hits, misses)`` delta — additive across tasks and across pool
+    workers, so the driver can surface the memo's effectiveness without
+    sharing state between processes.
     """
     before_hits, before_misses = _plan_totals()
-    if len(points) == 1:
+    if replay is None or points[0].kind not in ("trace", "demotion"):
         results = [_timed_point(points[0])]
     else:
         t0 = time.perf_counter()
@@ -706,7 +707,7 @@ def run_grid(
         if engine.cache_dir is not None
         else None
     )
-    replay = (engine.replay_backend, engine.stackdist, engine.shards_rate)
+    replay = (engine.stackdist, engine.shards_rate) if engine.batch else None
 
     rows: list = [None] * total
     timings: list[PointTiming | None] = [None] * total

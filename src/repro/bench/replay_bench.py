@@ -3,14 +3,12 @@
 Times the Figure 8 hit-ratio grid (the paper's policies over the FULL
 cache-size axis) through :func:`~repro.engine.stream.simulate_grid_pass`
 and through per-point :func:`~repro.engine.simulate_trace`, on one core,
-for every code family — and through the vector backend
-(``replay_backend="numpy"``), whose fleet solve is the third timing
-axis.  The resulting ``BENCH_replay.json`` is committed as the perf
-baseline; CI re-runs the bench and fails when
+for every code family.  The resulting ``BENCH_replay.json`` is committed
+as the perf baseline; CI re-runs the bench and fails when
 
-* either speedup (python-batched or numpy) falls more than 10% below the
-  committed baseline (each is a ratio of two single-core timings from
-  the same machine and run, so the check is machine-independent), or
+* the batched speedup falls more than 10% below the committed baseline
+  (a ratio of two single-core timings from the same machine and run, so
+  the check is machine-independent), or
 * any row differs between the paths — the equivalence contract — or
 * the SHARDS-sampled stack-distance profile strays more than the
   committed absolute hit-ratio error bound from the exact Fenwick one.
@@ -76,17 +74,10 @@ class ReplayGroupResult:
     batched_s: float
     per_point_s: float
     rows_identical: bool
-    #: the vector-backend axis
-    numpy_s: float
-    numpy_rows_identical: bool
 
     @property
     def speedup(self) -> float:
         return self.per_point_s / self.batched_s if self.batched_s > 0 else 0.0
-
-    @property
-    def numpy_speedup(self) -> float:
-        return self.per_point_s / self.numpy_s if self.numpy_s > 0 else 0.0
 
 
 def _bench_group(
@@ -114,12 +105,6 @@ def _bench_group(
         # no pre-interned stream: the batched timing pays for interning
         return simulate_grid_pass(backend, events, configs, plan_cache=plans)
 
-    def vectored():
-        # same protocol: the numpy timing pays for interning too
-        return simulate_grid_pass(
-            backend, events, configs, plan_cache=plans, replay_backend="numpy"
-        )
-
     def per_point():
         return [
             simulate_trace(
@@ -135,8 +120,6 @@ def _bench_group(
 
     reference = per_point()
     identical = batched() == reference
-    numpy_identical = vectored() == reference
-    numpy_s = best_of(vectored, rounds)
     return ReplayGroupResult(
         code=backend.code_label,
         p=p,
@@ -144,8 +127,6 @@ def _bench_group(
         batched_s=best_of(batched, rounds),
         per_point_s=best_of(per_point, rounds),
         rows_identical=identical,
-        numpy_s=numpy_s,
-        numpy_rows_identical=numpy_identical,
     )
 
 
@@ -288,7 +269,6 @@ def run_replay_bench(
     ]
     batched_s = sum(g.batched_s for g in groups)
     per_point_s = sum(g.per_point_s for g in groups)
-    numpy_s = sum(g.numpy_s for g in groups)
     identity = _verify_identity(codes)
     shards = _shards_check(codes, 10 * n_errors, seed)
     return make_payload(
@@ -303,14 +283,12 @@ def run_replay_bench(
         },
         checks={
             "batched_rows_identical": all(g.rows_identical for g in groups),
-            "numpy_rows_identical": all(g.numpy_rows_identical for g in groups),
             "identity_rows_identical": identity["rows_identical"],
             "lru_fast_path_identical": identity["lru_fast_path_identical"],
             "shards_within_bound": shards["within_bound"],
         },
         ratios={
             "speedup": per_point_s / batched_s if batched_s > 0 else 0.0,
-            "numpy_speedup": per_point_s / numpy_s if numpy_s > 0 else 0.0,
         },
         # batched + per-point seconds: the obs zero-overhead contract
         # (instrumentation disabled must cost nothing), gated by CI with
@@ -318,13 +296,10 @@ def run_replay_bench(
         timings={"aggregate_s": batched_s + per_point_s},
         detail={
             "groups": [
-                {**asdict(g), "speedup": g.speedup,
-                 "numpy_speedup": g.numpy_speedup}
-                for g in groups
+                {**asdict(g), "speedup": g.speedup} for g in groups
             ],
             "batched_s": batched_s,
             "per_point_s": per_point_s,
-            "numpy_s": numpy_s,
             "identity": identity,
             "shards": shards,
         },

@@ -107,16 +107,11 @@ def _add_engine_flags(p: argparse.ArgumentParser, default_workers: str = "auto")
              "cell through the per-point golden path",
     )
     p.add_argument(
-        "--replay-backend", choices=("python", "numpy"), default="python",
-        help="batched hit-ratio replay backend: the per-request python "
-             "loop (golden reference) or the vector fleet (bit-identical "
-             "rows; default: python)",
-    )
-    p.add_argument(
         "--stackdist", choices=("exact", "sampled"), default="exact",
         help="plain-LRU stack-distance profile: exact Fenwick or SHARDS "
              "sampling at --shards-rate (approximate rows, O(sample) "
-             "memory; default: exact)",
+             "memory; needs batching, so not with --no-batch; default: "
+             "exact)",
     )
     p.add_argument(
         "--shards-rate", type=float, default=0.01, metavar="R",
@@ -462,14 +457,17 @@ def _engine_config(
         cache_dir = args.cache_dir
     else:
         cache_dir = default_cache_dir() if default_cache else None
-    return EngineConfig(
-        workers=workers,
-        cache_dir=cache_dir,
-        batch=not args.no_batch,
-        replay_backend=getattr(args, "replay_backend", "python"),
-        stackdist=getattr(args, "stackdist", "exact"),
-        shards_rate=getattr(args, "shards_rate", 0.01),
-    )
+    try:
+        return EngineConfig(
+            workers=workers,
+            cache_dir=cache_dir,
+            batch=not args.no_batch,
+            stackdist=getattr(args, "stackdist", "exact"),
+            shards_rate=getattr(args, "shards_rate", 0.01),
+        )
+    except ValueError as exc:
+        emit(f"invalid engine configuration: {exc}", stream=sys.stderr)
+        raise SystemExit(2) from None
 
 
 _BENCH_METRICS = {

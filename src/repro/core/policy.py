@@ -76,11 +76,14 @@ class CachePolicy(ABC):
     ) -> None:
         """Replay a batch of requests; only the stats are observable after.
 
-        The grid replay's hot path.  This generic version just loops
-        :meth:`request`; the policies on the paper's Figure 8 grid
+        The batched hot path: the grid replay calls it once per worker
+        substream for every cell no exact shortcut answers.  This
+        generic version just loops :meth:`request`; fifo/lru/lfu/arc/fbf
         override it with the same per-request logic inlined into one
-        tight loop (decision-for-decision identical — the grid-pass
-        property tests enforce it against the per-request path).
+        tight loop, which roughly halves the grid pass's CPU time.  The
+        overrides are decision-for-decision identical:
+        ``tests/engine/test_grid_pass.py`` pins every grid-pass row to
+        the per-point :func:`~repro.engine.tracesim.simulate_trace` row.
         """
         request = self.request
         if priorities is None:

@@ -15,14 +15,12 @@ four XOR 3DFT codes plus the LRC code plug in as adapters.
 * :mod:`repro.engine.tracesim` — the untimed replay:
   :func:`simulate_trace`, :class:`PlanCache`, :class:`TraceSimResult`.
 * :mod:`repro.engine.stream` — the single-pass grid replay (DESIGN.md
-  §11): :func:`intern_stream`, :func:`simulate_grid_pass`.
+  §11): :func:`intern_stream`, :func:`simulate_grid_pass`.  It is the
+  one batched replay path; per-point :func:`simulate_trace` is its
+  golden oracle.
 * :mod:`repro.engine.stackdist` — Mattson reuse-distance profiling, the
   LRU all-capacities fast path behind the grid replay, exact (Fenwick)
   and SHARDS-sampled.
-* :mod:`repro.engine.vector` — the numpy vector replay backend:
-  :class:`VectorReplay`/:class:`VectorFleet` batch whole (policy x
-  capacity x worker) grids into array kernels, bit-identical to the
-  stepped replay.
 * :mod:`repro.engine.timed` — the timed replay:
   :func:`run_timed_replay`.
 """
@@ -43,12 +41,6 @@ from .registry import available_backends, make_backend, register_backend
 from .stackdist import SampledStackDistanceProfile, StackDistanceProfile
 from .stream import InternedStream, ReplayConfig, intern_stream, simulate_grid_pass
 from .timed import run_timed_replay
-from .vector import (
-    NUMPY_AVAILABLE,
-    VECTOR_POLICIES,
-    VectorFleet,
-    VectorReplay,
-)
 from .tracesim import PlanCache, TraceSimResult, effective_partition, simulate_trace
 
 __all__ = [
@@ -77,8 +69,4 @@ __all__ = [
     "simulate_grid_pass",
     "StackDistanceProfile",
     "SampledStackDistanceProfile",
-    "NUMPY_AVAILABLE",
-    "VECTOR_POLICIES",
-    "VectorFleet",
-    "VectorReplay",
 ]

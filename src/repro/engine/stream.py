@@ -78,10 +78,9 @@ class InternedStream:
     ``(stripe, unit)`` key for block id ``bid``.  :meth:`worker_substreams`
     deals events round-robin into per-worker flat ``(bids, hints)``
     parallel ``array('i')`` pairs — still the ``Sequence[int]`` the
-    policies' ``request_many`` consumes, and exactly the buffer
-    ``np.frombuffer`` views zero-copy for the vector backend — memoized
-    per worker count, since a sweep group replays the same deal for every
-    policy and capacity.
+    policies' ``request_many`` consumes — memoized per worker count,
+    since a sweep group replays the same deal for every policy and
+    capacity.
     """
 
     __slots__ = ("backend", "hint", "keys", "bids", "hints", "offsets",
@@ -655,81 +654,6 @@ def _is_saturation_eligible(config: ReplayConfig) -> bool:
     )
 
 
-def _is_vector_eligible(config: ReplayConfig) -> bool:
-    """Plain registry policy with a vector kernel, unwrapped."""
-    from .vector import VECTOR_POLICIES
-
-    return (
-        config.policy in VECTOR_POLICIES
-        and config.policy_factory is None
-        and not config.policy_kwargs
-        and not config.sanitize
-    )
-
-
-def _replay_vector_rows(
-    configs: Sequence[ReplayConfig],
-    stream_for: Callable[[str], InternedStream],
-    lru_fast_path: bool,
-) -> dict[int, TraceSimResult]:
-    """Solve every vector-eligible config in one fleet; rows by index.
-
-    Configs are grouped into one :class:`~repro.engine.vector.
-    VectorFleet` job per ``(hint, workers)`` pair, so the whole grid
-    costs one batched step loop per policy family.  Rows are
-    bit-identical to :func:`_replay_stepped` (property-tested).  The
-    caller decides who owns plain LRU via ``lru_fast_path``: True keeps
-    it on the reuse-distance profile path (the sampled-profile case),
-    False routes it through the fleet's rank-histogram kernel.
-    """
-    plan: dict[int, tuple[str, int, int, str]] = {}
-    groups: dict[tuple[str, int], set[int]] = {}
-    pols: set[str] = set()
-    for i, config in enumerate(configs):
-        if not _is_vector_eligible(config):
-            continue
-        if lru_fast_path and _is_plain_lru(config):
-            continue
-        st = stream_for(config.hint)
-        workers, per_worker = effective_partition(
-            config.capacity_blocks, config.workers, st.n_events
-        )
-        if per_worker < 1:  # degenerate zero-capacity cell: step it
-            continue
-        groups.setdefault((config.hint, workers), set()).add(per_worker)
-        pols.add(config.policy)
-        plan[i] = (config.hint, workers, per_worker, config.policy)
-    if not plan:
-        return {}
-    from .vector import VectorFleet
-
-    fleet = VectorFleet()
-    job_of = {
-        key: fleet.add(stream_for(key[0]), key[1], caps)
-        for key, caps in groups.items()
-    }
-    solved = fleet.solve(sorted(pols))
-    rows: dict[int, TraceSimResult] = {}
-    for i, (hint, workers, per_worker, policy) in plan.items():
-        st = stream_for(hint)
-        hits = solved[job_of[(hint, workers)]][policy][per_worker]
-        requests = st.total_requests
-        rows[i] = TraceSimResult(
-            policy=policy,
-            scheme_mode=st.backend.scheme_label,
-            code=st.backend.code_label,
-            p=st.backend.p,
-            capacity_blocks=configs[i].capacity_blocks,
-            workers=workers,
-            per_worker_blocks=per_worker,
-            n_errors=st.n_events,
-            requests=requests,
-            hits=hits,
-            disk_reads=requests - hits,
-        )
-    return rows
-
-
 def simulate_grid_pass(
     backend: CodeBackend,
     events: Sequence[Any],
@@ -737,7 +661,6 @@ def simulate_grid_pass(
     plan_cache: PlanCache | None = None,
     stream: InternedStream | None = None,
     lru_fast_path: bool = True,
-    replay_backend: str = "python",
     stackdist: str = "exact",
     shards_rate: float = 0.01,
 ) -> list[TraceSimResult]:
@@ -760,21 +683,14 @@ def simulate_grid_pass(
       working set, no policy ever evicts and the hit count is exactly
       requests minus distinct blocks.
 
-    ``replay_backend="numpy"`` solves every vector-eligible cell (plain
-    FIFO/LRU/LFU/ARC/FBF) through one :class:`~repro.engine.vector.
-    VectorFleet` batch instead of per-request stepping — rows stay
-    bit-for-bit identical; ineligible cells (custom factories, kwargs,
-    the sanitizer) silently take the python path.  ``stackdist=
-    "sampled"`` swaps the plain-LRU fast path's exact Fenwick profile
+    Every other cell is stepped: one ``request_many`` call per worker
+    substream, which the fifo/lru/lfu/arc/fbf policies override with an
+    inlined loop.  ``stackdist="sampled"`` swaps the plain-LRU fast path's exact Fenwick profile
     for the SHARDS sampled one at ``shards_rate`` — the one knob that
     trades row exactness (bounded hit-ratio error, O(sample) memory)
     for scale.
     """
     configs = list(configs)
-    if replay_backend not in ("python", "numpy"):
-        raise ValueError(
-            f"replay_backend must be 'python' or 'numpy', got {replay_backend!r}"
-        )
     if stackdist not in ("exact", "sampled"):
         raise ValueError(
             f"stackdist must be 'exact' or 'sampled', got {stackdist!r}"
@@ -791,11 +707,10 @@ def simulate_grid_pass(
     if obs_on:
         pass_span = _obs.span(
             "engine.grid_pass",
-            {"code": backend.code_label, "n_configs": len(configs),
-             "backend": replay_backend},
+            {"code": backend.code_label, "n_configs": len(configs)},
         )
         pass_span.__enter__()
-        n_lru_fast = n_stepped = n_vector = 0
+        n_lru_fast = n_stepped = 0
     streams: dict[str, InternedStream] = {}
     if stream is not None:
         if stream.backend is not backend:
@@ -815,22 +730,8 @@ def simulate_grid_pass(
     lru_profiles: dict[int, list[StackDistanceProfile]] = {}
     # workers -> per-worker distinct-block counts (the saturation check).
     worker_distincts: dict[int, list[int]] = {}
-    vector_rows: dict[int, TraceSimResult] = {}
-    if replay_backend == "numpy":
-        # The fleet's LRU rank-histogram kernel beats building per-worker
-        # Fenwick profiles, so plain LRU rides the fleet too — unless the
-        # caller explicitly asked for the SHARDS sampled profile.
-        vector_rows = _replay_vector_rows(
-            configs, stream_for, lru_fast_path and stackdist == "sampled"
-        )
     results: list[TraceSimResult] = []
-    for i, config in enumerate(configs):
-        row = vector_rows.get(i)
-        if row is not None:
-            results.append(row)
-            if obs_on:
-                n_vector += 1
-            continue
+    for config in configs:
         st = stream_for(config.hint)
         if lru_fast_path and _is_plain_lru(config):
             results.append(
@@ -855,11 +756,9 @@ def simulate_grid_pass(
     if obs_on:
         pass_span["lru_fast_rows"] = n_lru_fast
         pass_span["stepped_rows"] = n_stepped
-        pass_span["vector_rows"] = n_vector
         pass_span.__exit__(None, None, None)
         _obs.counter("engine.grid.passes").inc()
         _obs.counter("engine.grid.configs").inc(len(configs))
         _obs.counter("engine.grid.lru_fast_rows").inc(n_lru_fast)
         _obs.counter("engine.grid.stepped_rows").inc(n_stepped)
-        _obs.counter("engine.grid.vector_rows").inc(n_vector)
     return results

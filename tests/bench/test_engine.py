@@ -28,6 +28,17 @@ TINY = Scale(
     ps_tip=(5,),
 )
 
+#: large enough that a 5% SHARDS sample differs from the exact profile
+TINY_SHARDS = Scale(
+    n_errors=40,
+    workers=4,
+    cache_mbs=(1.0, 4.0),
+    seed=3,
+    codes=("tip",),
+    ps_main=(7,),
+    ps_tip=(7,),
+)
+
 SERIAL = EngineConfig(workers=0)
 
 
@@ -72,10 +83,6 @@ class TestEngineConfig:
 
 
 class TestReplayBackendConfig:
-    def test_rejects_bad_backend(self):
-        with pytest.raises(ValueError, match="replay_backend"):
-            EngineConfig(replay_backend="cuda")
-
     def test_rejects_bad_stackdist(self):
         with pytest.raises(ValueError, match="stackdist"):
             EngineConfig(stackdist="guessed")
@@ -86,10 +93,6 @@ class TestReplayBackendConfig:
 
     def test_exact_keeps_base_salt(self):
         assert EngineConfig().replay_salt() == ENGINE_CACHE_VERSION
-        assert (
-            EngineConfig(replay_backend="numpy").replay_salt()
-            == ENGINE_CACHE_VERSION
-        )
 
     def test_sampled_salts_by_rate(self):
         a = EngineConfig(stackdist="sampled", shards_rate=0.01)
@@ -97,11 +100,23 @@ class TestReplayBackendConfig:
         assert a.replay_salt() != ENGINE_CACHE_VERSION
         assert a.replay_salt() != b.replay_salt()
 
-    def test_numpy_rows_equal_python_through_run_grid(self):
-        grid = tiny_grid("fig8")
-        reference = run_grid(grid, SERIAL)
-        rows = run_grid(grid, EngineConfig(workers=0, replay_backend="numpy"))
-        assert rows_equivalent(reference.points, rows.points)
+    def test_sampled_rejects_per_point_path(self):
+        # the per-point path replays exactly: it cannot honour "sampled"
+        with pytest.raises(ValueError, match="batch"):
+            EngineConfig(stackdist="sampled", batch=False)
+
+    def test_sampled_row_independent_of_grid_composition(self):
+        # A one-cell group must take the same sampled profile as the
+        # cell does inside its full group, not the exact per-point path.
+        engine = EngineConfig(workers=0, stackdist="sampled", shards_rate=0.05)
+        grid = [
+            p for p in experiment_grid("fig8", TINY_SHARDS) if p.policy == "lru"
+        ]
+        together = run_grid(grid, engine).points
+        exact = run_grid(grid, SERIAL).points
+        assert together != exact  # the sample really estimates
+        for point, row in zip(grid, together):
+            assert run_grid([point], engine).points == [row]
 
 
 class TestParallelSerialEquivalence:

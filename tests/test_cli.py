@@ -23,27 +23,29 @@ class TestParser:
             build_parser().parse_args(["bench", "fig9", "--sor-workers", "2"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "fig9", "--workers", "auto"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["bench", "fig8", "--replay-backend", "numpy"]
+            )
 
-    def test_replay_backend_flags(self):
+    def test_stackdist_flags(self):
         args = build_parser().parse_args(
-            ["bench", "fig8", "--replay-backend", "numpy",
-             "--stackdist", "sampled", "--shards-rate", "0.05"]
+            ["bench", "fig8", "--stackdist", "sampled", "--shards-rate", "0.05"]
         )
-        assert args.replay_backend == "numpy"
         assert args.stackdist == "sampled"
         assert args.shards_rate == 0.05
 
-    def test_replay_backend_defaults_to_python(self):
         from repro.cli import _engine_config
 
-        args = build_parser().parse_args(["bench", "fig8", "--no-cache"])
-        engine = _engine_config(args, default_cache=False)
-        assert engine.replay_backend == "python"
-        assert engine.stackdist == "exact"
+        default = build_parser().parse_args(["bench", "fig8", "--no-cache"])
+        assert _engine_config(default).stackdist == "exact"
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "fig8", "--replay-backend", "cuda"])
+    def test_sampled_needs_batch(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "fig8", "--no-cache", "--no-batch",
+                  "--stackdist", "sampled"])
+        assert exc.value.code == 2
+        assert "batch" in capsys.readouterr().err
 
 
 class TestInfo:
