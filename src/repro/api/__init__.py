@@ -45,9 +45,8 @@ __all__ = [
     "InternedStream",
     "ReplayConfig",
     "simulate_grid_pass",
-    # stack-distance profiles
+    # stack-distance profile
     "StackDistanceProfile",
-    "SampledStackDistanceProfile",
     # registries
     "available_codes",
     "make_code",
@@ -102,7 +101,6 @@ _V2_HOMES: dict[str, tuple[str, str | None]] = {
     "ReplayConfig": (_REPLAY, "ReplayConfig"),
     "simulate_grid_pass": (_REPLAY, "simulate_grid_pass"),
     "StackDistanceProfile": (_REPLAY, "StackDistanceProfile"),
-    "SampledStackDistanceProfile": (_REPLAY, "SampledStackDistanceProfile"),
     "available_codes": (_REPLAY, "available_codes"),
     "make_code": (_REPLAY, "make_code"),
     "available_policies": (_REPLAY, "available_policies"),

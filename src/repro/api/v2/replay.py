@@ -2,7 +2,8 @@
 
 The simulation core of the public surface: backends and their
 registries, the single-trace simulator, the interned-stream grid pass
-(offline and incremental), and the stack-distance profiles.  The kwarg vocabulary is unchanged from v1:
+(offline and incremental), and the exact stack-distance profile.  The
+kwarg vocabulary is unchanged from v1:
 ``workers=`` is always the *simulated* SOR worker count.
 """
 
@@ -12,7 +13,7 @@ from ...cache.registry import PAPER_BASELINES, available_policies, make_policy
 from ...codes.registry import available_codes, make_code
 from ...engine.backend import CodeBackend, EnginePlan, PriorityModel
 from ...engine.registry import available_backends, make_backend, register_backend
-from ...engine.stackdist import SampledStackDistanceProfile, StackDistanceProfile
+from ...engine.stackdist import StackDistanceProfile
 from ...engine.stream import (
     InternedStream,
     ReplayConfig,
@@ -39,9 +40,8 @@ __all__ = [
     "StreamInterner",
     "ReplayConfig",
     "simulate_grid_pass",
-    # stack-distance profiles
+    # stack-distance profile
     "StackDistanceProfile",
-    "SampledStackDistanceProfile",
     # registries
     "available_codes",
     "make_code",

@@ -120,8 +120,7 @@ class EngineConfig:
     resolves to ``os.cpu_count()``.  ``cache_dir=None`` disables the
     persistent cache.  ``batch=False`` (the CLI's ``--no-batch``)
     disables single-pass group dispatch and computes every cell through
-    the per-point golden path, which cannot sample — so it requires
-    ``stackdist="exact"``.
+    the per-point golden path.
     """
 
     workers: int | str = 0
@@ -133,11 +132,6 @@ class EngineConfig:
     #: replay hit-ratio cells of one (code, p, scheme, trace) group in a
     #: single interned-stream pass (bit-for-bit equal to per-point rows).
     batch: bool = True
-    #: plain-LRU stack-distance profile flavor: "exact" (Fenwick) or
-    #: "sampled" (SHARDS at shards_rate — approximate rows, bounded
-    #: error, O(sample) memory; cached under a distinct salt).
-    stackdist: str = "exact"
-    shards_rate: float = 0.01
 
     def __post_init__(self) -> None:
         if isinstance(self.workers, str):
@@ -145,29 +139,6 @@ class EngineConfig:
                 raise ValueError(f"workers must be an int >= 0 or 'auto', got {self.workers!r}")
         elif self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.stackdist not in ("exact", "sampled"):
-            raise ValueError(
-                f"stackdist must be 'exact' or 'sampled', got {self.stackdist!r}"
-            )
-        if not 0.0 < self.shards_rate <= 1.0:
-            raise ValueError(
-                f"shards_rate must be in (0, 1], got {self.shards_rate}"
-            )
-        if self.stackdist == "sampled" and not self.batch:
-            raise ValueError(
-                "stackdist='sampled' needs batch=True: the per-point "
-                "path replays exactly and cannot sample"
-            )
-
-    def replay_salt(self, base: str = ENGINE_CACHE_VERSION) -> str:
-        """Result-cache salt: sampled rows never share exact rows' keys.
-
-        SHARDS estimates are rate-dependent approximations, so they get
-        their own namespace; exact rows keep the base salt.
-        """
-        if self.stackdist == "sampled":
-            return f"{base}+shards:{self.shards_rate!r}"
-        return base
 
     def resolved_workers(self) -> int:
         if self.workers == "auto":
@@ -558,11 +529,7 @@ def _group_key(point: GridPoint) -> tuple:
     return (point.code, point.p, point.scheme_mode, point.n_errors, point.seed)
 
 
-def compute_group(
-    points: "Sequence[GridPoint]",
-    stackdist: str = "exact",
-    shards_rate: float = 0.01,
-) -> "list[SweepPoint]":
+def compute_group(points: "Sequence[GridPoint]") -> "list[SweepPoint]":
     """Run a same-stream group of hit-ratio cells in one interned pass.
 
     Every point must be ``kind="trace"`` or ``kind="demotion"`` and share
@@ -606,8 +573,6 @@ def compute_group(
         stream=_stream_for(
             first.code, first.p, first.scheme_mode, first.n_errors, first.seed
         ),
-        stackdist=stackdist,
-        shards_rate=shards_rate,
     )
     rows = []
     for point, res in zip(points, results):
@@ -650,16 +615,14 @@ def _plan_totals() -> tuple[int, int]:
 
 
 def _timed_task(
-    points: "tuple[GridPoint, ...]",
-    replay: "tuple[str, float] | None" = ("exact", 0.01),
+    points: "tuple[GridPoint, ...]", batch: bool = True
 ) -> "tuple[list[tuple[SweepPoint, float]], tuple[int, int]]":
     """Pool entry point for a task: a same-stream group or a singleton.
 
-    ``replay`` is the ``(stackdist, shards_rate)`` pair of a batched run,
-    or None with batching off.  When batching, every hit-ratio task —
-    a one-cell group included — takes the single-pass replay, so a
-    sampled row never depends on which other cells share its grid.
-    Everything else is a singleton on the per-point golden path.  Group
+    When ``batch`` is on, every hit-ratio task — a one-cell group
+    included — takes the single-pass replay, so every row of a batched
+    run comes from the same path.  Everything else (and every cell with
+    batching off) is a singleton on the per-point golden path.  Group
     compute time is split evenly across the group's cells so per-point
     timings stay additive.  The second element is this task's plan-cache
     ``(hits, misses)`` delta — additive across tasks and across pool
@@ -667,11 +630,11 @@ def _timed_task(
     sharing state between processes.
     """
     before_hits, before_misses = _plan_totals()
-    if replay is None or points[0].kind not in ("trace", "demotion"):
+    if not batch or points[0].kind not in ("trace", "demotion"):
         results = [_timed_point(points[0])]
     else:
         t0 = time.perf_counter()
-        rows = compute_group(points, *replay)
+        rows = compute_group(points)
         per_point = (time.perf_counter() - t0) / len(points)
         results = [(row, per_point) for row in rows]
     after_hits, after_misses = _plan_totals()
@@ -702,12 +665,7 @@ def run_grid(
         grid_span.__enter__()
     t_start = time.perf_counter()
     total = len(points)
-    cache = (
-        ResultCache(engine.cache_dir, salt=engine.replay_salt())
-        if engine.cache_dir is not None
-        else None
-    )
-    replay = (engine.stackdist, engine.shards_rate) if engine.batch else None
+    cache = ResultCache(engine.cache_dir) if engine.cache_dir is not None else None
 
     rows: list = [None] * total
     timings: list[PointTiming | None] = [None] * total
@@ -781,7 +739,7 @@ def run_grid(
         for indices in tasks:
             record_task(
                 indices,
-                _timed_task(tuple(points[i] for i in indices), replay),
+                _timed_task(tuple(points[i] for i in indices), engine.batch),
             )
     else:
         from functools import partial
@@ -789,7 +747,7 @@ def run_grid(
         n_workers = min(n_workers, len(tasks))
         chunksize = max(1, len(tasks) // (n_workers * 4))
         todo = [tuple(points[i] for i in indices) for indices in tasks]
-        task_fn = partial(_timed_task, replay=replay)
+        task_fn = partial(_timed_task, batch=engine.batch)
         if pool is not None:
             mapped = pool.map(task_fn, todo, chunksize=chunksize)
             for indices, results in zip(tasks, mapped):

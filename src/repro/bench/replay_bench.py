@@ -9,9 +9,7 @@ as the perf baseline; CI re-runs the bench and fails when
 * the batched speedup falls more than 10% below the committed baseline
   (a ratio of two single-core timings from the same machine and run, so
   the check is machine-independent), or
-* any row differs between the paths — the equivalence contract — or
-* the SHARDS-sampled stack-distance profile strays more than the
-  committed absolute hit-ratio error bound from the exact Fenwick one.
+* any row differs between the paths — the equivalence contract.
 
 A separate identity sweep covers *every* registry policy (including the
 stepped-only ones) and both states of the LRU stack-distance lever, at a
@@ -30,9 +28,6 @@ from typing import Sequence
 from ..cache.registry import PAPER_BASELINES, available_policies
 from ..engine import (
     PlanCache,
-    SampledStackDistanceProfile,
-    StackDistanceProfile,
-    intern_stream,
     make_backend,
     simulate_grid_pass,
     simulate_trace,
@@ -174,81 +169,6 @@ def _verify_identity(
     }
 
 
-def _shards_check(
-    codes: Sequence[tuple[str, int]],
-    n_errors: int,
-    seed: int,
-    rate: float = 0.01,
-    bound: float = 0.01,
-) -> dict:
-    """SHARDS evidence: sampled vs exact LRU hit ratios on full streams.
-
-    Profiles each code's whole interned request stream (no SOR deal)
-    with the exact Fenwick profile and the SHARDS profile at ``rate``,
-    at ``n_errors`` ten times the timed axis: spatial sampling is a
-    *scale* tool, and at the timed grid's stream sizes a 1% sample is
-    tens of blocks — far too few to estimate anything.  The amplified
-    stream (~0.5M requests for STAR) is the smallest regime the paper's
-    100-1000x trace-scale claim starts in,
-    and reports the worst absolute hit-ratio error across a capacity
-    axis spanning the curve, plus the tracked-set evidence that memory
-    is O(sample): ``peak_tracked`` blocks vs the stream's distinct
-    blocks.  The committed ``within_bound`` verdict is CI-gated.
-    """
-    worst = 0.0
-    groups = []
-    min_requests = 300_000  # keep every code in the sampling regime
-    for code, p in codes:
-        backend = make_backend(code, p)
-        events = backend.generate_events(n_errors, seed)
-        stream = intern_stream(
-            backend, events, plan_cache=PlanCache(backend)
-        )
-        requests = stream.total_requests
-        if 0 < requests < min_requests:
-            # Short-plan codes (TIP/LRC) produce far fewer requests per
-            # error than STAR: amplify until the stream is large enough
-            # that a 1% spatial sample has hundreds of blocks.
-            scale = -(-min_requests // requests)
-            events = backend.generate_events(scale * n_errors, seed)
-            stream = intern_stream(
-                backend, events, plan_cache=PlanCache(backend)
-            )
-        bids = stream.bids
-        requests = len(bids)
-        if requests == 0:
-            continue
-        exact = StackDistanceProfile(bids)
-        sampled = SampledStackDistanceProfile(bids, rate=rate)
-        n_blocks = stream.n_blocks
-        caps = sorted({
-            max(1, int(n_blocks * f))
-            for f in (0.001, 0.005, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0)
-        })
-        err = max(
-            abs(exact.hits_at(c) - sampled.estimated_hits_at(c)) / requests
-            for c in caps
-        )
-        worst = max(worst, err)
-        groups.append({
-            "code": backend.code_label,
-            "requests": requests,
-            "distinct_blocks": n_blocks,
-            "peak_tracked": sampled.peak_tracked,
-            "tracked_fraction": sampled.peak_tracked / max(n_blocks, 1),
-            "max_abs_hit_ratio_err": err,
-        })
-    return {
-        "rate": rate,
-        "bound": bound,
-        "n_errors": n_errors,
-        "capacities": "geometric over each stream's distinct blocks",
-        "groups": groups,
-        "max_abs_hit_ratio_err": worst,
-        "within_bound": worst <= bound,
-    }
-
-
 def run_replay_bench(
     codes: Sequence[tuple[str, int]] = DEFAULT_CODES,
     policies: Sequence[str] = PAPER_BASELINES + ("fbf",),
@@ -270,7 +190,6 @@ def run_replay_bench(
     batched_s = sum(g.batched_s for g in groups)
     per_point_s = sum(g.per_point_s for g in groups)
     identity = _verify_identity(codes)
-    shards = _shards_check(codes, 10 * n_errors, seed)
     return make_payload(
         "replay",
         params={
@@ -285,7 +204,6 @@ def run_replay_bench(
             "batched_rows_identical": all(g.rows_identical for g in groups),
             "identity_rows_identical": identity["rows_identical"],
             "lru_fast_path_identical": identity["lru_fast_path_identical"],
-            "shards_within_bound": shards["within_bound"],
         },
         ratios={
             "speedup": per_point_s / batched_s if batched_s > 0 else 0.0,
@@ -301,6 +219,5 @@ def run_replay_bench(
             "batched_s": batched_s,
             "per_point_s": per_point_s,
             "identity": identity,
-            "shards": shards,
         },
     )

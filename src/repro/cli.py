@@ -106,18 +106,6 @@ def _add_engine_flags(p: argparse.ArgumentParser, default_workers: str = "auto")
         help="disable single-pass group replay; compute every hit-ratio "
              "cell through the per-point golden path",
     )
-    p.add_argument(
-        "--stackdist", choices=("exact", "sampled"), default="exact",
-        help="plain-LRU stack-distance profile: exact Fenwick or SHARDS "
-             "sampling at --shards-rate (approximate rows, O(sample) "
-             "memory; needs batching, so not with --no-batch; default: "
-             "exact)",
-    )
-    p.add_argument(
-        "--shards-rate", type=float, default=0.01, metavar="R",
-        help="SHARDS spatial sampling rate in (0, 1] for "
-             "--stackdist sampled (default: 0.01)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,8 +450,6 @@ def _engine_config(
             workers=workers,
             cache_dir=cache_dir,
             batch=not args.no_batch,
-            stackdist=getattr(args, "stackdist", "exact"),
-            shards_rate=getattr(args, "shards_rate", 0.01),
         )
     except ValueError as exc:
         emit(f"invalid engine configuration: {exc}", stream=sys.stderr)

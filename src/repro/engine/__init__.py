@@ -15,12 +15,13 @@ four XOR 3DFT codes plus the LRC code plug in as adapters.
 * :mod:`repro.engine.tracesim` — the untimed replay:
   :func:`simulate_trace`, :class:`PlanCache`, :class:`TraceSimResult`.
 * :mod:`repro.engine.stream` — the single-pass grid replay (DESIGN.md
-  §11): :func:`intern_stream`, :func:`simulate_grid_pass`.  It is the
-  one batched replay path; per-point :func:`simulate_trace` is its
+  §11): :func:`intern_stream`, :func:`simulate_grid_pass`, and the one
+  interning loop, :class:`~repro.engine.stream.StreamInterner`.  It is
+  the one batched replay path; per-point :func:`simulate_trace` is its
   golden oracle.
-* :mod:`repro.engine.stackdist` — Mattson reuse-distance profiling, the
-  LRU all-capacities fast path behind the grid replay, exact (Fenwick)
-  and SHARDS-sampled.
+* :mod:`repro.engine.stackdist` — exact Mattson reuse-distance
+  profiling (Fenwick), the LRU all-capacities fast path behind the grid
+  replay.
 * :mod:`repro.engine.timed` — the timed replay:
   :func:`run_timed_replay`.
 """
@@ -38,7 +39,7 @@ from .backend import (
 )
 from .backends import LRCBackend, XORBackend
 from .registry import available_backends, make_backend, register_backend
-from .stackdist import SampledStackDistanceProfile, StackDistanceProfile
+from .stackdist import StackDistanceProfile
 from .stream import InternedStream, ReplayConfig, intern_stream, simulate_grid_pass
 from .timed import run_timed_replay
 from .tracesim import PlanCache, TraceSimResult, effective_partition, simulate_trace
@@ -68,5 +69,4 @@ __all__ = [
     "intern_stream",
     "simulate_grid_pass",
     "StackDistanceProfile",
-    "SampledStackDistanceProfile",
 ]

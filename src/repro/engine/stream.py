@@ -7,10 +7,13 @@ simulate_trace` decodes that stream from scratch every time: plan lookup
 per event, ``(stripe, unit)`` tuple build per request, nested-tuple
 hashing inside every policy dict.  This module decodes **once**:
 
-* :func:`intern_stream` materializes ``event -> plan -> (unit, hint)``
-  into an :class:`InternedStream` — block keys mapped to dense ints in
-  first-seen order, hints in a parallel array — reusing the shared
-  :class:`~repro.engine.tracesim.PlanCache`;
+* :class:`StreamInterner` is the one interning loop: it materializes
+  ``event -> plan -> (unit, hint)`` into an :class:`InternedStream` —
+  block keys mapped to dense ints in first-seen order, hints in a
+  parallel array — reusing the shared
+  :class:`~repro.engine.tracesim.PlanCache`.  :func:`intern_stream`
+  runs it once over a whole sorted trace; the advisor extends it batch
+  by batch;
 * :func:`simulate_grid_pass` steps every configuration over the decoded
   stream and returns the same :class:`~repro.engine.tracesim.
   TraceSimResult` rows as the per-point loop, bit for bit;
@@ -30,18 +33,15 @@ interleaved order.
 
 from __future__ import annotations
 
-import weakref
 from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
-
-import numpy as np
 
 from ..cache.base import CachePolicy
 from ..cache.registry import make_policy
 from ..obs import runtime as _obs
 from .backend import CodeBackend, make_priority_model
-from .stackdist import SampledStackDistanceProfile, StackDistanceProfile
+from .stackdist import StackDistanceProfile
 from .tracesim import PlanCache, TraceSimResult, effective_partition
 
 __all__ = [
@@ -117,19 +117,6 @@ class InternedStream:
         """Distinct blocks touched by the stream."""
         return len(self.keys)
 
-    @property
-    def event_pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-event ``(bid, hint)`` tuples (compat/introspection view).
-
-        Materialized on demand — the flat arrays are the storage format.
-        """
-        bids, hints, offsets = self.bids, self.hints, self.offsets
-        return tuple(
-            tuple(zip(bids[offsets[i] : offsets[i + 1]],
-                      hints[offsets[i] : offsets[i + 1]]))
-            for i in range(len(offsets) - 1)
-        )
-
     def worker_substreams(self, workers: int) -> list[tuple[array, array]]:
         """Per-worker ``(block_ids, hints)`` parallel arrays (round-robin).
 
@@ -157,178 +144,15 @@ class InternedStream:
         return cached
 
 
-def _intern_python(
-    events_sorted: list, get_plan, sequence
-) -> tuple[tuple[Any, ...], array, array, array]:
-    """Reference interning loop: one dict probe per request."""
-    index: dict[Any, int] = {}
-    bids = array("i")
-    hints = array("i")
-    offsets = array("i", [0])
-    append_bid = bids.append
-    append_hint = hints.append
-    for event in events_sorted:
-        stripe = event.stripe
-        for unit, hint_value in sequence(get_plan(event)):
-            key = (stripe, unit)
-            bid = index.get(key)
-            if bid is None:
-                bid = index[key] = len(index)
-            append_bid(bid)
-            append_hint(hint_value)
-        offsets.append(len(bids))
-    # dict preserves insertion order, so tuple(index) is keys-by-bid.
-    return tuple(index), bids, hints, offsets
-
-
-#: Per-(PlanCache, hint) interning state — unit registry plus per-plan
-#: (uids, hints) arrays — reused across intern calls so that re-interning
-#: the same backend's events (grid benches, repeated experiments) skips
-#: the per-pair python loop entirely.  Keyed weakly: state dies with its
-#: PlanCache (which keeps every plan alive, making ``id(plan)`` stable).
-_INTERN_STATE: "weakref.WeakKeyDictionary[PlanCache, dict]" = \
-    weakref.WeakKeyDictionary()
-
-
-def _intern_numpy(
-    events_sorted: list, get_plan, sequence, state: tuple | None = None
-) -> tuple[tuple[Any, ...], array, array, array]:
-    """Vectorized interning: identical output to :func:`_intern_python`.
-
-    The python loop runs per *plan* (memoized unit/hint arrays; plans are
-    shared PlanCache objects), not per request; the per-request work —
-    ``(stripe, unit) -> dense first-seen id`` — becomes one
-    ``np.unique`` over 64-bit pair codes plus an argsort of the first
-    occurrence indices, which recovers exactly the first-seen order the
-    dict-based loop assigns.  Internal unit ids only disambiguate pair
-    codes — any injective assignment yields the same output — so the
-    registry may be shared across calls via ``state``.
-    """
-    if state is None:
-        state = ({}, [], {})
-    unit_ids, unit_list, plan_memo = state
-    uid_parts: list = []
-    hint_parts: list = []
-    stripes: list[int] = []
-    lens: list[int] = []
-    for event in events_sorted:
-        plan = get_plan(event)
-        memo = plan_memo.get(id(plan))
-        if memo is None:
-            pairs = list(sequence(plan))
-            uids = np.empty(len(pairs), dtype=np.int64)
-            hvals = np.empty(len(pairs), dtype=np.int32)
-            for j, (unit, hint_value) in enumerate(pairs):
-                uid = unit_ids.get(unit)
-                if uid is None:
-                    uid = unit_ids[unit] = len(unit_list)
-                    unit_list.append(unit)
-                uids[j] = uid
-                hvals[j] = hint_value
-            # the plan ref pins id(plan) for the memo's whole lifetime
-            memo = plan_memo[id(plan)] = (uids, hvals, plan)
-        uid_parts.append(memo[0])
-        hint_parts.append(memo[1])
-        stripes.append(event.stripe)
-        lens.append(len(memo[0]))
-
-    n_units = max(len(unit_list), 1)
-    if stripes and max(abs(s) for s in stripes) >= (1 << 62) // n_units:
-        # pair codes would overflow int64; take the reference loop.
-        return _intern_python(events_sorted, get_plan, sequence)
-    lens_np = np.asarray(lens, dtype=np.int64)
-    if uid_parts:
-        all_uids = np.concatenate(uid_parts)
-        all_hints = np.concatenate(hint_parts)
-    else:
-        all_uids = np.empty(0, dtype=np.int64)
-        all_hints = np.empty(0, dtype=np.int32)
-    codes = np.repeat(np.asarray(stripes, dtype=np.int64), lens_np) * n_units
-    codes += all_uids
-    uniq, first_idx, inverse = np.unique(
-        codes, return_index=True, return_inverse=True
-    )
-    # uniq is sorted by code value; rank first occurrences by stream
-    # position to recover the dict loop's first-seen id assignment.
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[order] = np.arange(len(uniq), dtype=np.int64)
-    bids_np = rank[inverse].astype(np.int32)
-    first_seen = uniq[order]
-    strp = (first_seen // n_units).tolist()
-    uidx = (first_seen % n_units).tolist()
-    keys = tuple((s, unit_list[i]) for s, i in zip(strp, uidx))
-    bids = array("i")
-    bids.frombytes(bids_np.tobytes())
-    hints = array("i")
-    hints.frombytes(all_hints.astype(np.int32, copy=False).tobytes())
-    offsets = array("i")
-    offsets.frombytes(
-        np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(lens_np)]
-        ).astype(np.int32).tobytes()
-    )
-    return keys, bids, hints, offsets
-
-
-def intern_stream(
-    backend: CodeBackend,
-    events: Sequence[Any],
-    hint: str = "priority",
-    plan_cache: PlanCache | None = None,
-) -> InternedStream:
-    """Decode ``events`` once into an :class:`InternedStream`.
-
-    Events are sorted exactly as :func:`~repro.engine.tracesim.
-    simulate_trace` sorts them, plans come from the shared ``plan_cache``
-    memo, and block keys are interned to dense ints in first-seen order
-    (deterministic: a function of the sorted event stream alone — the
-    vectorized and python interning paths produce identical streams).
-    """
-    model = make_priority_model(hint)
-    if plan_cache is None:
-        plan_cache = PlanCache(backend)
-    elif plan_cache.backend is not backend:
-        raise ValueError("plan_cache was built for a different backend")
-
-    obs_on = _obs.ENABLED
-    if obs_on:
-        before_hits, before_misses = plan_cache.counts()
-        decode_span = _obs.span(
-            "engine.intern_stream", {"code": backend.code_label, "hint": hint}
-        )
-        decode_span.__enter__()
-
-    per_hint = _INTERN_STATE.setdefault(plan_cache, {})
-    state = per_hint.get(hint)
-    if state is None:
-        state = per_hint[hint] = ({}, [], {})
-    keys, bids, hints, offsets = _intern_numpy(
-        sorted(events), plan_cache.get, model.sequence, state
-    )
-    stream = InternedStream(backend, hint, keys, bids, hints, offsets)
-    if obs_on:
-        decode_span["events"] = stream.n_events
-        decode_span["blocks"] = stream.n_blocks
-        decode_span.__exit__(None, None, None)
-        after_hits, after_misses = plan_cache.counts()
-        _obs.counter("engine.streams_interned").inc()
-        _obs.counter("engine.stream.events").inc(stream.n_events)
-        _obs.counter("engine.stream.requests").inc(stream.total_requests)
-        _obs.counter("engine.plan_cache.hits").inc(after_hits - before_hits)
-        _obs.counter("engine.plan_cache.misses").inc(after_misses - before_misses)
-        _obs.gauge("engine.plan_cache.entries").set(len(plan_cache))
-    return stream
-
-
 class StreamInterner:
-    """Incremental interning over an advancing event log (the serve layer).
+    """Incremental interning over an event log: the one interning loop.
 
-    :func:`intern_stream` decodes a complete, already-known trace.  A
-    long-lived advisor instead sees events *arrive*: it appends each
-    batch as it lands and replays a sliding window of the most recent
-    events.  This class keeps the interning state (the block-key index,
-    the flat ``bids``/``hints``/``offsets`` arrays, the shared
+    :func:`intern_stream` feeds a complete, already-known trace through
+    a fresh interner in one :meth:`extend`.  A long-lived advisor
+    instead sees events *arrive*: it appends each batch as it lands and
+    replays a sliding window of the most recent events.  This class
+    keeps the interning state (the block-key index, the flat
+    ``bids``/``hints``/``offsets`` arrays, the shared
     :class:`~repro.engine.tracesim.PlanCache`) alive across appends, so
     each batch costs one plan decode per *new* plan rather than a full
     re-intern of the window.
@@ -502,6 +326,47 @@ class StreamInterner:
         )
 
 
+def intern_stream(
+    backend: CodeBackend,
+    events: Sequence[Any],
+    hint: str = "priority",
+    plan_cache: PlanCache | None = None,
+) -> InternedStream:
+    """Decode ``events`` once into an :class:`InternedStream`.
+
+    Events are sorted exactly as :func:`~repro.engine.tracesim.
+    simulate_trace` sorts them, then fed through one fresh
+    :class:`StreamInterner`: plans come from the shared ``plan_cache``
+    memo and block keys are interned to dense ints in first-seen order
+    (deterministic: a function of the sorted event stream alone).
+    """
+    interner = StreamInterner(backend, hint, plan_cache)
+    plan_cache = interner.plan_cache
+
+    obs_on = _obs.ENABLED
+    if obs_on:
+        before_hits, before_misses = plan_cache.counts()
+        decode_span = _obs.span(
+            "engine.intern_stream", {"code": backend.code_label, "hint": hint}
+        )
+        decode_span.__enter__()
+
+    interner.extend(sorted(events))
+    stream = interner.snapshot()
+    if obs_on:
+        decode_span["events"] = stream.n_events
+        decode_span["blocks"] = stream.n_blocks
+        decode_span.__exit__(None, None, None)
+        after_hits, after_misses = plan_cache.counts()
+        _obs.counter("engine.streams_interned").inc()
+        _obs.counter("engine.stream.events").inc(stream.n_events)
+        _obs.counter("engine.stream.requests").inc(stream.total_requests)
+        _obs.counter("engine.plan_cache.hits").inc(after_hits - before_hits)
+        _obs.counter("engine.plan_cache.misses").inc(after_misses - before_misses)
+        _obs.gauge("engine.plan_cache.entries").set(len(plan_cache))
+    return stream
+
+
 @dataclass
 class ReplayConfig:
     """One grid cell: the replay parameters of a ``simulate_trace`` call."""
@@ -608,23 +473,16 @@ def _replay_stepped(
 def _replay_lru_fast(
     stream: InternedStream,
     config: ReplayConfig,
-    profiles: dict[int, list],
-    profile_factory: Callable[[Sequence[int]], Any] = StackDistanceProfile,
+    profiles: dict[int, list[StackDistanceProfile]],
 ) -> TraceSimResult:
-    """LRU via reuse distances: hits at any capacity, no stepping.
-
-    ``profile_factory`` selects the profile flavor: the exact Fenwick
-    :class:`~repro.engine.stackdist.StackDistanceProfile` (default) or a
-    SHARDS :class:`~repro.engine.stackdist.SampledStackDistanceProfile`
-    bound to a sampling rate — anything with ``hits_at(capacity)``.
-    """
+    """LRU via reuse distances: hits at any capacity, no stepping."""
     workers, per_worker = effective_partition(
         config.capacity_blocks, config.workers, stream.n_events
     )
     per_worker_profiles = profiles.get(workers)
     if per_worker_profiles is None:
         per_worker_profiles = profiles[workers] = [
-            profile_factory(bids)
+            StackDistanceProfile(bids)
             for bids, _ in stream.worker_substreams(workers)
         ]
     hits = sum(p.hits_at(per_worker) for p in per_worker_profiles)
@@ -661,8 +519,6 @@ def simulate_grid_pass(
     plan_cache: PlanCache | None = None,
     stream: InternedStream | None = None,
     lru_fast_path: bool = True,
-    stackdist: str = "exact",
-    shards_rate: float = 0.01,
 ) -> list[TraceSimResult]:
     """Replay every configuration over one decoded stream, in one pass.
 
@@ -685,24 +541,9 @@ def simulate_grid_pass(
 
     Every other cell is stepped: one ``request_many`` call per worker
     substream, which the fifo/lru/lfu/arc/fbf policies override with an
-    inlined loop.  ``stackdist="sampled"`` swaps the plain-LRU fast path's exact Fenwick profile
-    for the SHARDS sampled one at ``shards_rate`` — the one knob that
-    trades row exactness (bounded hit-ratio error, O(sample) memory)
-    for scale.
+    inlined loop.  Every row is exact.
     """
     configs = list(configs)
-    if stackdist not in ("exact", "sampled"):
-        raise ValueError(
-            f"stackdist must be 'exact' or 'sampled', got {stackdist!r}"
-        )
-    if not 0.0 < shards_rate <= 1.0:
-        raise ValueError(f"shards_rate must be in (0, 1], got {shards_rate}")
-    if stackdist == "sampled":
-        profile_factory = lambda bids: SampledStackDistanceProfile(
-            bids, rate=shards_rate
-        )
-    else:
-        profile_factory = StackDistanceProfile
     obs_on = _obs.ENABLED
     if obs_on:
         pass_span = _obs.span(
@@ -734,9 +575,7 @@ def simulate_grid_pass(
     for config in configs:
         st = stream_for(config.hint)
         if lru_fast_path and _is_plain_lru(config):
-            results.append(
-                _replay_lru_fast(st, config, lru_profiles, profile_factory)
-            )
+            results.append(_replay_lru_fast(st, config, lru_profiles))
             if obs_on:
                 n_lru_fast += 1
             continue

@@ -6,9 +6,12 @@ replays the most recent ``window_events`` events through
 :func:`~repro.engine.stream.simulate_grid_pass` — the *same* function,
 on the same interned representation, that the offline bench engine uses
 — so an advisor recommendation is bit-for-bit the offline winner for
-that window: ``simulate_grid_pass(backend, window, configs)`` offline
-and :meth:`CacheAdvisor.evaluate` return identical rows, and
-:func:`pick_winner` is the single ranking both sides share.
+that window, and :func:`pick_winner` is the single ranking both sides
+share.  The window replays in arrival order.  For an in-order window
+(every source here emits time-monotone batches) that is sorted order,
+so ``simulate_grid_pass(backend, window_events(), configs)`` offline
+and :meth:`CacheAdvisor.evaluate` return identical rows; after an
+out-of-order batch the offline call, which sorts, may differ.
 
 Evaluations are memoized per window position, so a burst of ``advise``
 queries between ingest batches costs one replay.  With an
@@ -58,8 +61,10 @@ def _evaluate_shard(payload: tuple) -> list[dict]:
 
     Backends and plan caches come from the bench engine's per-process
     memos, so a long-lived :class:`~repro.bench.engine.EnginePool`
-    worker pays the setup once across every window it evaluates.  Rows
-    travel back as dicts (dataclass fields), keeping the payload plain.
+    worker pays the setup once across every window it evaluates.  The
+    records are interned in arrival order, as the in-process evaluation
+    replays them.  Rows travel back as dicts (dataclass fields), keeping
+    the payload plain.
     """
     from dataclasses import asdict
 
@@ -74,8 +79,14 @@ def _evaluate_shard(payload: tuple) -> list[dict]:
         )
         for policy, capacity, workers in specs
     ]
+    interner = StreamInterner(backend, hint, _plans_for(code, p, scheme_mode))
+    interner.extend(events)
     rows = simulate_grid_pass(
-        backend, events, configs, plan_cache=_plans_for(code, p, scheme_mode)
+        backend,
+        events,
+        configs,
+        plan_cache=interner.plan_cache,
+        stream=interner.snapshot(),
     )
     return [asdict(row) for row in rows]
 
@@ -178,8 +189,10 @@ class CacheAdvisor:
     def evaluate(self, workers: int | None = None) -> list[TraceSimResult]:
         """Replay the current window over the candidate grid.
 
-        Returns one row per grid cell, bit-for-bit equal to the offline
+        Returns one row per grid cell, replayed in arrival order: for an
+        in-order window, bit-for-bit equal to the offline
         ``simulate_grid_pass(backend, window_events(), grid(workers))``.
+        Pooled and in-process evaluation agree on every window.
         Memoized until the next ingest batch moves the window.
         """
         workers = workers if workers is not None else self.config.workers

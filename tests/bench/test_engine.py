@@ -28,16 +28,6 @@ TINY = Scale(
     ps_tip=(5,),
 )
 
-#: large enough that a 5% SHARDS sample differs from the exact profile
-TINY_SHARDS = Scale(
-    n_errors=40,
-    workers=4,
-    cache_mbs=(1.0, 4.0),
-    seed=3,
-    codes=("tip",),
-    ps_main=(7,),
-    ps_tip=(7,),
-)
 
 SERIAL = EngineConfig(workers=0)
 
@@ -83,40 +73,13 @@ class TestEngineConfig:
 
 
 class TestReplayBackendConfig:
-    def test_rejects_bad_stackdist(self):
-        with pytest.raises(ValueError, match="stackdist"):
-            EngineConfig(stackdist="guessed")
-
-    def test_rejects_bad_shards_rate(self):
-        with pytest.raises(ValueError, match="shards_rate"):
-            EngineConfig(stackdist="sampled", shards_rate=0.0)
-
-    def test_exact_keeps_base_salt(self):
-        assert EngineConfig().replay_salt() == ENGINE_CACHE_VERSION
-
-    def test_sampled_salts_by_rate(self):
-        a = EngineConfig(stackdist="sampled", shards_rate=0.01)
-        b = EngineConfig(stackdist="sampled", shards_rate=0.05)
-        assert a.replay_salt() != ENGINE_CACHE_VERSION
-        assert a.replay_salt() != b.replay_salt()
-
-    def test_sampled_rejects_per_point_path(self):
-        # the per-point path replays exactly: it cannot honour "sampled"
-        with pytest.raises(ValueError, match="batch"):
-            EngineConfig(stackdist="sampled", batch=False)
-
     def test_sampled_row_independent_of_grid_composition(self):
-        # A one-cell group must take the same sampled profile as the
-        # cell does inside its full group, not the exact per-point path.
-        engine = EngineConfig(workers=0, stackdist="sampled", shards_rate=0.05)
-        grid = [
-            p for p in experiment_grid("fig8", TINY_SHARDS) if p.policy == "lru"
-        ]
-        together = run_grid(grid, engine).points
-        exact = run_grid(grid, SERIAL).points
-        assert together != exact  # the sample really estimates
+        # With batching on, a one-cell group takes the same single-pass
+        # replay as the cell does inside its full group.
+        grid = tiny_grid("fig8")
+        together = run_grid(grid, SERIAL).points
         for point, row in zip(grid, together):
-            assert run_grid([point], engine).points == [row]
+            assert run_grid([point], SERIAL).points == [row]
 
 
 class TestParallelSerialEquivalence:

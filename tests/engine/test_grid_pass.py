@@ -142,46 +142,3 @@ def test_custom_factory_rows_match():
             workers=4,
             policy_factory=factory,
         )
-
-
-def test_sampled_rate_one_equals_exact():
-    # At rate=1.0 every block is sampled with weight 1: the SHARDS
-    # profile degenerates to the exact Mattson profile, so the sampled
-    # grid pass must be bit-identical to the exact one.
-    backend = make_backend("star", 5)
-    events = backend.generate_events(12, 9)
-    config_list = [
-        ReplayConfig(policy="lru", capacity_blocks=cap, workers=4)
-        for cap in (4, 16, 64, 512)
-    ]
-    plans = PlanCache(backend)
-    exact = simulate_grid_pass(backend, events, config_list, plan_cache=plans)
-    sampled = simulate_grid_pass(
-        backend,
-        events,
-        config_list,
-        plan_cache=plans,
-        stackdist="sampled",
-        shards_rate=1.0,
-    )
-    assert sampled == exact
-
-
-class TestValidation:
-    BACKEND = make_backend("tip", 5)
-    EVENTS = BACKEND.generate_events(2, 0)
-    CONFIGS = [ReplayConfig(policy="lru", capacity_blocks=4)]
-
-    def _pass(self, **kwargs):
-        return simulate_grid_pass(
-            self.BACKEND, self.EVENTS, self.CONFIGS, **kwargs
-        )
-
-    def test_bad_stackdist(self):
-        with pytest.raises(ValueError, match="stackdist"):
-            self._pass(stackdist="guessed")
-
-    @pytest.mark.parametrize("rate", [0.0, -0.5, 1.5])
-    def test_bad_rate(self, rate):
-        with pytest.raises(ValueError, match="shards_rate"):
-            self._pass(stackdist="sampled", shards_rate=rate)

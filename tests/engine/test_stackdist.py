@@ -1,83 +1,20 @@
-"""Unit tests for the Mattson stack-distance machinery.
+"""Unit tests for the Mattson stack-distance profile.
 
 The profile's one claim — ``hits_at(c)`` equals the hit count of a
-stepped c-block LRU replay, for every c — is checked against both a
-brute-force reuse-distance oracle and the real :class:`LRUCache`.
+stepped c-block LRU replay, for every c — is checked against the real
+:class:`LRUCache`.  The per-request distances are tested as
+:func:`repro.analysis.reuse_distances` in ``tests/analysis``.
 """
 
 from __future__ import annotations
 
-import random
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.lru import LRUCache
-from repro.engine.stackdist import (
-    FenwickTree,
-    SampledStackDistanceProfile,
-    StackDistanceProfile,
-    reuse_distances,
-)
+from repro.engine.stackdist import StackDistanceProfile
 
 streams = st.lists(st.integers(min_value=0, max_value=12), max_size=120)
-
-
-def brute_force_distances(stream):
-    """O(n^2) oracle: distinct blocks strictly between same-key accesses."""
-    last: dict[int, int] = {}
-    out = []
-    for t, block in enumerate(stream):
-        prev = last.get(block)
-        if prev is None:
-            out.append(-1)
-        else:
-            out.append(len(set(stream[prev + 1 : t])))
-        last[block] = t
-    return out
-
-
-class TestFenwickTree:
-    def test_prefix_sums(self):
-        tree = FenwickTree(8)
-        for i, delta in ((1, 3), (4, 2), (8, 5)):
-            tree.add(i, delta)
-        assert [tree.prefix(i) for i in range(9)] == [0, 3, 3, 3, 5, 5, 5, 5, 10]
-
-    def test_prefix_clamps_past_the_end(self):
-        tree = FenwickTree(3)
-        tree.add(2, 7)
-        assert tree.prefix(100) == 7
-        assert tree.prefix(-5) == 0
-
-    def test_add_out_of_range_rejected(self):
-        tree = FenwickTree(3)
-        with pytest.raises(IndexError):
-            tree.add(0, 1)
-        with pytest.raises(IndexError):
-            tree.add(4, 1)
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            FenwickTree(-1)
-
-    def test_empty_tree(self):
-        assert FenwickTree(0).prefix(0) == 0
-
-
-class TestReuseDistances:
-    def test_known_stream(self):
-        # a b c a: 'a' sees b,c in between -> distance 2
-        assert list(reuse_distances([1, 2, 3, 1])) == [-1, -1, -1, 2]
-
-    def test_immediate_rereference_is_zero(self):
-        assert list(reuse_distances([5, 5])) == [-1, 0]
-
-    @settings(max_examples=80, deadline=None)
-    @given(stream=streams)
-    def test_matches_brute_force(self, stream):
-        assert list(reuse_distances(stream)) == brute_force_distances(stream)
 
 
 class TestStackDistanceProfile:
@@ -110,69 +47,3 @@ class TestStackDistanceProfile:
         profile = StackDistanceProfile([])
         assert profile.requests == 0
         assert profile.hits_at(4) == 0
-
-
-class TestSampledStackDistanceProfile:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        stream=streams,
-        capacity=st.integers(min_value=0, max_value=16),
-    )
-    def test_rate_one_is_exact(self, stream, capacity):
-        # At rate=1.0 every block is sampled with weight 1: SHARDS
-        # degenerates to the exact Mattson profile.
-        exact = StackDistanceProfile(stream)
-        sampled = SampledStackDistanceProfile(stream, rate=1.0)
-        assert sampled.hits_at(capacity) == exact.hits_at(capacity)
-        assert sampled.min_rate == 1.0
-
-    def test_error_bounded_on_skewed_stream(self):
-        # Deterministic 60/40 hot/cold mixture: 60k requests over 8k
-        # blocks, no single block heavy enough to defeat spatial
-        # sampling (that regime is covered by the bench's SHARDS gate).
-        # At 10% sampling the adjusted estimate lands within one
-        # percentage point of the exact hit ratio at every capacity;
-        # the splitmix hash makes the sample — and this bound —
-        # reproducible.
-        rng = random.Random(1234)
-        hot, blocks = 800, 8000
-        stream = [
-            rng.randrange(hot) if rng.random() < 0.6
-            else rng.randrange(hot, blocks)
-            for _ in range(60_000)
-        ]
-        exact = StackDistanceProfile(stream)
-        sampled = SampledStackDistanceProfile(stream, rate=0.1)
-        n = len(stream)
-        for capacity in (16, 64, 256, 1024, 4096, 8192):
-            err = abs(sampled.estimated_hits_at(capacity)
-                      - exact.hits_at(capacity)) / n
-            assert err < 0.01, (capacity, err)
-
-    def test_fixed_size_mode_bounds_memory(self):
-        rng = random.Random(7)
-        stream = [rng.randrange(5000) for _ in range(30_000)]
-        sampled = SampledStackDistanceProfile(
-            stream, rate=1.0, max_tracked=64
-        )
-        # peak is recorded just before the over-budget eviction.
-        assert sampled.peak_tracked <= 65
-        assert 0.0 < sampled.min_rate < 1.0
-
-    @pytest.mark.parametrize("rate", [0.0, -0.1, 1.0000001])
-    def test_rejects_bad_rate(self, rate):
-        with pytest.raises(ValueError, match="rate"):
-            SampledStackDistanceProfile([1, 2], rate=rate)
-
-    def test_rejects_bad_max_tracked(self):
-        with pytest.raises(ValueError, match="max_tracked"):
-            SampledStackDistanceProfile([1, 2], max_tracked=0)
-
-    def test_empty_stream(self):
-        sampled = SampledStackDistanceProfile([], rate=0.5)
-        assert sampled.requests == 0
-        assert sampled.estimated_hits_at(8) == 0.0
-
-    def test_hit_ratio_at(self):
-        sampled = SampledStackDistanceProfile([1, 1, 1, 1], rate=1.0)
-        assert sampled.hit_ratio_at(2) == pytest.approx(0.75)

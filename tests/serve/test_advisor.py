@@ -86,6 +86,34 @@ class TestAdviseMatchesOffline:
         assert advisor.evaluations == 2
 
 
+class _InlinePool:
+    """A two-worker pool stand-in: ``_evaluate_shard`` runs in-process."""
+
+    def resolved_workers(self) -> int:
+        return 2
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+class TestPooledMatchesInProcess:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_out_of_order_ingest_rows_agree(self, seed):
+        config = ServeConfig()
+        in_process = CacheAdvisor(config)
+        pooled = CacheAdvisor(config, pool=_InlinePool())
+        source = SyntheticSource(
+            config.code, config.p, seed=seed, chunk=config.batch_events
+        )
+        batches = list(source.batches(40))
+        for i in range(0, len(batches), 2):
+            for batch in (batches[i + 1], batches[i]):  # swapped pair
+                in_process.ingest(batch)
+                pooled.ingest(batch)
+        assert in_process.out_of_order == 20
+        assert pooled.evaluate() == in_process.evaluate()
+
+
 class TestPickWinner:
     def test_ranking_prefers_hit_ratio_then_capacity_then_name(self):
         advisor = CacheAdvisor(_config())

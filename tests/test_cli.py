@@ -27,25 +27,10 @@ class TestParser:
             build_parser().parse_args(
                 ["bench", "fig8", "--replay-backend", "numpy"]
             )
-
-    def test_stackdist_flags(self):
-        args = build_parser().parse_args(
-            ["bench", "fig8", "--stackdist", "sampled", "--shards-rate", "0.05"]
-        )
-        assert args.stackdist == "sampled"
-        assert args.shards_rate == 0.05
-
-        from repro.cli import _engine_config
-
-        default = build_parser().parse_args(["bench", "fig8", "--no-cache"])
-        assert _engine_config(default).stackdist == "exact"
-
-    def test_sampled_needs_batch(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "fig8", "--no-cache", "--no-batch",
-                  "--stackdist", "sampled"])
-        assert exc.value.code == 2
-        assert "batch" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "fig8", "--stackdist", "sampled"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "fig8", "--shards-rate", "0.05"])
 
 
 class TestInfo:
